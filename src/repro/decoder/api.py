@@ -156,7 +156,7 @@ class DecoderConfig:
         ``"numba"`` (JIT loops; falls back to ``"fast"`` with a
         once-per-process warning when numba is missing), or the default
         ``"auto"`` which honours the ``REPRO_DECODER_BACKEND``
-        environment variable and otherwise selects ``"reference"``.
+        environment variable and otherwise selects ``"fast"``.
     fast_exact:
         Only meaningful for the ``fast``/``numba`` float BP sum-subtract
         path, which evaluates the check node in the Φ ("tanh rule")

@@ -13,8 +13,11 @@ A backend executes one compiled :class:`~repro.decoder.plan.DecodePlan`
 
 Selection: ``DecoderConfig(backend=...)`` names a backend directly; the
 default ``"auto"`` honours the ``REPRO_DECODER_BACKEND`` environment
-variable and otherwise picks ``"reference"`` (so existing numerics are
-unchanged unless a caller opts in).
+variable and otherwise picks ``"fast"``.  Fixed point is bit-identical
+either way; float BP runs the float32 Φ kernel, which tracks the
+reference's decisions, iterations and ``converged`` flags.
+``REPRO_DECODER_BACKEND=reference`` selects the oracle for a whole
+process (the test suite runs once that way too).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.errors import DecoderConfigError
 ENV_BACKEND = "REPRO_DECODER_BACKEND"
 
 #: Backend chosen by ``"auto"`` when the environment does not override.
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "fast"
 
 #: Name a requested-but-unavailable backend degrades to.
 FALLBACK_BACKEND = "fast"

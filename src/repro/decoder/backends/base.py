@@ -44,7 +44,9 @@ the sum-subtract check node (``sign(0)`` annihilates the ⊞ recursion;
 ``0 ⊟ 0`` cannot recover the excluded combine) — the PR 3
 non-convergence bug.  All backends and both schedules share
 :func:`break_zero_messages` so the datapath stays bit-identical across
-them.
+them.  A float32 working state (the ``fast`` float BP default) has the
+same hazard from rounding rather than saturation and breaks its zeros
+with :func:`break_cancelled_float_messages`.
 """
 
 from __future__ import annotations
@@ -114,6 +116,34 @@ def break_zero_messages(messages: np.ndarray, lam_memory: np.ndarray) -> None:
     zero = messages == 0
     if zero.any():
         messages[zero] = np.where(lam_memory[zero] < 0, -1, 1)
+
+
+#: Magnitude a cancelled float32 v→c message is restored to (see
+#: :func:`break_cancelled_float_messages`): the smallest normal float32.
+FLOAT32_TINY = np.float32(np.finfo(np.float32).tiny)
+
+
+def break_cancelled_float_messages(
+    messages: np.ndarray, lam_memory: np.ndarray
+) -> None:
+    """Float32 counterpart of :func:`break_zero_messages`, in place.
+
+    An APP held in float32 cannot carry an erasure placeholder (e.g.
+    the NR rate matcher's ``1e-9``) next to a real check message:
+    ``λ + Λ`` rounds to ``Λ``, so the next ``L - Λ`` is exactly 0 and
+    the sum-subtract kernel would treat it as an absorbing erasure.  A
+    zero with ``Λ ≠ 0`` is therefore a cancellation artefact and
+    becomes ``±FLOAT32_TINY``, signed like ``Λ``.  A genuine zero
+    (``L = Λ = 0``) stays zero, keeping the reference semantics.  One
+    ``all()`` reduction is the whole cost when no message is zero.
+    """
+    if messages.all():
+        return
+    cancelled = (messages == 0) & (lam_memory != 0)
+    if cancelled.any():
+        messages[cancelled] = np.where(
+            lam_memory[cancelled] < 0, -FLOAT32_TINY, FLOAT32_TINY
+        )
 
 
 class DecoderBackend:

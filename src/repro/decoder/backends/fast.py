@@ -26,6 +26,14 @@ BP float kernel whose documented contract is decision agreement.
   transform, one sign-parity pass.  By default the whole kernel runs in
   **float32** (``work_dtype``) for memory bandwidth;
   ``DecoderConfig(fast_exact=True)`` keeps float64 (~1e-8/call).
+  A float32 APP cannot hold an erasure placeholder next to a check
+  message (``1e-9 + Λ`` rounds to ``Λ``), so the next ``L - Λ`` comes
+  out exactly 0 — which the kernel, like the reference, treats as an
+  absorbing erasure.  The float32 path therefore zero-breaks its
+  message port as fixed point does: a zero with ``Λ ≠ 0`` becomes
+  ``±finfo(float32).tiny`` signed like ``Λ``
+  (:func:`~repro.decoder.backends.base.break_cancelled_float_messages`);
+  a genuine zero input (``L = Λ = 0``) stays absorbing.
 - **Min-sum family (plain / normalized / offset), float and fixed** —
   the reference kernel's ``argsort`` over the degree axis is replaced
   by a two-smallest reduction (one ``argmin``, one masked ``min``) plus
@@ -53,7 +61,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.decoder.backends.base import DecoderBackend, break_zero_messages
+from repro.decoder.backends.base import (
+    DecoderBackend,
+    break_cancelled_float_messages,
+    break_zero_messages,
+)
 from repro.decoder.siso import GuardedFixedBPSumSubKernel, LinearApproxKernel
 from repro.fixedpoint.boxplus import FixedBoxOps, make_guard_tables, phi_transform
 
@@ -128,6 +140,8 @@ class FastBackend(DecoderBackend):
         np.clip(lam_new, -msg_clip, msg_clip, out=lam_new)
         if self._fixed:
             break_zero_messages(lam_new, lambdas[:, sl, :])
+        elif lam_new.dtype == np.float32:
+            break_cancelled_float_messages(lam_new, lambdas[:, sl, :])
         lambda_new = self._kernel(lam_new)
         np.add(lam_new, lambda_new, out=lam_new)
         np.clip(lam_new, -app_clip, app_clip, out=lam_new)

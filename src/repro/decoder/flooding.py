@@ -21,7 +21,10 @@ import numpy as np
 from repro.codes.qc import QCLDPCCode
 from repro.decoder.api import DecodeResult, DecoderConfig
 from repro.decoder.backends import make_backend
-from repro.decoder.backends.base import break_zero_messages
+from repro.decoder.backends.base import (
+    break_cancelled_float_messages,
+    break_zero_messages,
+)
 from repro.decoder.compaction import ActiveFrameSet
 from repro.decoder.early_termination import make_monitor
 from repro.decoder.plan import DecodePlan, check_plan_compatible
@@ -127,13 +130,15 @@ class FloodingDecoder:
                     break_zero_messages(lam_vc, lam[:, sl, :])
                     gathered.append(lam_vc)
                 else:
-                    gathered.append(
-                        np.clip(
-                            l_total[:, idx] - lam[:, sl, :],
-                            -config.llr_clip,
-                            config.llr_clip,
-                        )
+                    lam_vc = np.clip(
+                        l_total[:, idx] - lam[:, sl, :],
+                        -config.llr_clip,
+                        config.llr_clip,
                     )
+                    if lam_vc.dtype == np.float32:
+                        # A float32 APP rounds erasure placeholders away.
+                        break_cancelled_float_messages(lam_vc, lam[:, sl, :])
+                    gathered.append(lam_vc)
             stacked = (
                 np.concatenate(gathered, axis=2)
                 if len(gathered) > 1

@@ -89,7 +89,11 @@ FILLER_LLR = 1.0e4
 #: real channel LLR yet safely above the tanh-domain underflow floor of
 #: the sum-subtract kernel, so it contributes nothing numerically and
 #: the decoder recovers the position from parity context exactly as BP
-#: prescribes.
+#: prescribes.  A float32 APP memory (the default ``fast`` float BP
+#: path) rounds it away once a check message is added to it; that
+#: datapath restores the cancelled ``L - Λ`` to ``±finfo(float32).tiny``
+#: instead of passing an exact zero on (see
+#: :func:`~repro.decoder.backends.base.break_cancelled_float_messages`).
 FLOAT_ERASURE_LLR = 1.0e-9
 
 

@@ -24,7 +24,11 @@ clients, plus the transport-level ones that only exist at a socket:
   :class:`~repro.nr.HarqSession` keyed ``(mode, process id)`` and
   decodes the *combined* buffer through the service, handing the
   decode policy an SNR estimated over transmitted positions only.
-  Soft buffers are purged when the connection closes — HARQ state is
+  Each connection keeps at most :data:`HARQ_PROCESS_WINDOW` sessions —
+  the NR maximum number of HARQ processes — and evicts the least
+  recently used one to open another, so soft-buffer memory stays
+  bounded however many transport blocks a connection completes.  The
+  rest are purged when the connection closes — HARQ state is
   connection-scoped, like TCP sequence numbers.
 - **Graceful drain.**  :meth:`close` (and SIGTERM/SIGINT under
   :meth:`serve_forever`) stops accepting connections and new requests,
@@ -45,15 +49,26 @@ import asyncio
 import contextlib
 import signal
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
 from repro.codes.registry import get_code
 from repro.errors import HarqError, ProtocolError, ServiceClosedError
 from repro.nr.harq import HarqSession
+from repro.nr.ratematch import NRRateMatcher
 from repro.server import protocol
 from repro.service.metrics import prometheus_text
 from repro.service.service import DecodeService
+
+#: HARQ sessions one connection keeps live: the NR maximum number of
+#: HARQ processes per cell (16, TS 38.331 ``nrofHARQ-ProcessesForPDSCH``).
+#: Opening a 17th ``(mode, process)`` evicts the least recently used.
+HARQ_PROCESS_WINDOW = 16
+
+#: Shared rate matchers a server keeps, least recently used evicted
+#: first; real traffic needs one per (mode, n_filler) it carries.
+HARQ_MATCHER_LIMIT = 64
 
 
 class DecodeServer:
@@ -109,6 +124,9 @@ class DecodeServer:
         self._conn_count = 0
         self._connections: set[asyncio.Task] = set()
         self._inflight: set[asyncio.Task] = set()
+        # One rate matcher per (mode, n_filler), shared by every HARQ
+        # session of every connection (its selection cache is per code).
+        self._harq_matchers: OrderedDict = OrderedDict()
         # Transport-level counters (the service keeps its own); guarded
         # by the event loop (single-threaded mutation).
         self.stats = {
@@ -250,9 +268,10 @@ class DecodeServer:
         write_lock = asyncio.Lock()
         gate = asyncio.Semaphore(self.max_inflight)
         conn_tasks: set[asyncio.Task] = set()
-        # Per-connection IR-HARQ soft buffers, keyed (mode, process id);
+        # Per-connection IR-HARQ soft buffers, keyed (mode, process id)
+        # in least-recently-used order and capped at HARQ_PROCESS_WINDOW;
         # dies with the connection (cleared in the finally below).
-        harq_state: dict = {}
+        harq_state: OrderedDict = OrderedDict()
         try:
             while True:
                 try:
@@ -407,11 +426,13 @@ class DecodeServer:
         """Soft-combine one HARQ transmission; returns (decoder LLRs, SNR).
 
         The per-connection session for ``(mode, process)`` is created on
-        the process's first transmission (fixing its ``n_filler``); each
-        call accumulates the ``(B, e)`` float soft bits at the request's
-        redundancy version and returns the combined mother buffer
-        conditioned for the request config's datapath, plus the masked
-        operating-SNR estimate for the decode policy.
+        the process's first transmission (fixing its ``n_filler``),
+        evicting the least recently used session once the connection
+        holds :data:`HARQ_PROCESS_WINDOW`; each call accumulates the
+        ``(B, e)`` float soft bits at the request's redundancy version
+        and returns the combined mother buffer conditioned for the
+        request config's datapath, plus the masked operating-SNR
+        estimate for the decode policy.
         """
         if not np.issubdtype(llr.dtype, np.floating):
             raise HarqError(
@@ -421,14 +442,17 @@ class DecodeServer:
         key = (mode, harq["process"])
         session = harq_state.get(key)
         if session is None:
-            code = get_code(mode) if isinstance(mode, str) else mode
+            matcher = self._harq_matcher(mode, harq["n_filler"])
+            if len(harq_state) >= HARQ_PROCESS_WINDOW:
+                harq_state.popitem(last=False)
             session = HarqSession(
-                code,
+                matcher.code,
                 config if config is not None else self.service.default_config,
-                n_filler=harq["n_filler"],
+                matcher=matcher,
             )
             harq_state[key] = session
         else:
+            harq_state.move_to_end(key)
             if harq["n_filler"] != session.matcher.n_filler:
                 raise HarqError(
                     f"harq process {harq['process']} was opened with "
@@ -439,6 +463,20 @@ class DecodeServer:
                 session.config = config
         session.push(llr, harq["rv"])
         return session.decoder_llrs(), session.snr_db()
+
+    def _harq_matcher(self, mode, n_filler: int) -> NRRateMatcher:
+        """The server's shared rate matcher for ``(mode, n_filler)``."""
+        key = (mode, n_filler)
+        matcher = self._harq_matchers.get(key)
+        if matcher is None:
+            code = get_code(mode) if isinstance(mode, str) else mode
+            matcher = NRRateMatcher(code, n_filler)
+            if len(self._harq_matchers) >= HARQ_MATCHER_LIMIT:
+                self._harq_matchers.popitem(last=False)
+            self._harq_matchers[key] = matcher
+        else:
+            self._harq_matchers.move_to_end(key)
+        return matcher
 
     async def _send(self, writer, write_lock, frame: bytes) -> None:
         if frame[3:4] == bytes([int(protocol.FrameType.ERROR)]):

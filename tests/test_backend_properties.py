@@ -691,6 +691,43 @@ def test_nr_rate_matched_float_compaction_identity(cell):
         )
 
 
+@pytest.mark.parametrize(
+    "cell", _NR_CELLS, ids=[c[0] for c in _NR_CELLS]
+)
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_nr_rate_matched_float_bp_matches_reference(cell, schedule):
+    """Default-float ``fast`` BP keeps erased positions alive.
+
+    Its float32 APP memory rounds the ``1e-9`` erasure placeholder away
+    once a check message is added (``1e-9 + Λ == Λ``), so without the
+    float32 zero-break the next ``L - Λ`` is an exact, absorbing zero.
+    Iterations and ET flags must match the float64 reference, and so
+    must every decision the reference actually makes: a bit whose
+    reference APP is still at erasure level (|L| <= 1e-6, no parity
+    information reached it) is a sign of rounding residue in either
+    backend and is not compared.  No output LLR may be exactly zero.
+    """
+    label, code, matcher, soft, transmitted = cell
+    llrs = matcher.decoder_llrs(soft, transmitted)
+    kwargs = dict(check_node="bp", bp_impl="sum-sub", max_iterations=8)
+    reference, fast = (
+        SCHEDULES[schedule](
+            code, DecoderConfig(backend=backend, **kwargs)
+        ).decode(llrs)
+        for backend in ("reference", "fast")
+    )
+    name = f"nr-{label}/{schedule} float bp"
+    decided = np.abs(reference.llr) > 1e-6
+    assert np.array_equal(
+        reference.bits[decided], fast.bits[decided]
+    ), f"{name}: bits differ"
+    for field in ("iterations", "converged", "et_stopped"):
+        assert np.array_equal(
+            getattr(reference, field), getattr(fast, field)
+        ), f"{name}: {field} differs"
+    assert np.count_nonzero(fast.llr == 0) == 0, f"{name}: zero APP"
+
+
 def test_nr_harq_redecode_is_fresh_decode():
     """HARQ sessions add state, never decoder behaviour: after any
     combining history, session.decode() == a fresh decoder run over the

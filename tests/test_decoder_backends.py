@@ -43,6 +43,7 @@ from repro.decoder.backends.reference import ReferenceBackend
 from repro.encoder import make_encoder
 from repro.errors import DecoderConfigError
 from repro.fixedpoint import QFormat
+from repro.service import service_default_config
 from tests.conftest import make_noisy_llrs
 
 #: One small mode per supported standard (DMB-T has a single z).
@@ -69,10 +70,18 @@ class TestRegistry:
         assert "fast" in available_backends()
         assert set(available_backends()) <= set(registered_backends())
 
-    def test_auto_defaults_to_reference(self, monkeypatch):
+    def test_auto_defaults_to_fast(self, monkeypatch):
         monkeypatch.delenv(ENV_BACKEND, raising=False)
+        assert resolve_backend_name("auto") == "fast"
+        assert resolve_backend_name(None) == "fast"
+
+    def test_env_reference_still_selects_the_oracle(
+        self, small_code, monkeypatch
+    ):
+        monkeypatch.setenv(ENV_BACKEND, "reference")
         assert resolve_backend_name("auto") == "reference"
-        assert resolve_backend_name(None) == "reference"
+        decoder = LayeredDecoder(small_code, DecoderConfig())
+        assert isinstance(decoder.backend, ReferenceBackend)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(ENV_BACKEND, "fast")
@@ -127,6 +136,80 @@ class TestRegistry:
         fast = LayeredDecoder(small_code, DecoderConfig(backend="fast"))
         assert isinstance(ref.backend, ReferenceBackend)
         assert isinstance(fast.backend, FastBackend)
+
+
+class TestDefaultFrontDoors:
+    """A decode that names no backend runs ``fast``, at every front door.
+
+    ``repro.open``, ``DecodeService()`` and a ``DecodeServer`` round
+    trip with no config must each be bit-identical to an explicit
+    ``fast`` decode under the config that front door defaults to —
+    ``service_default_config`` for the serving paths.
+    """
+
+    MODE = "802.16e:1/2:z24"
+
+    @pytest.fixture(autouse=True)
+    def auto_means_fast(self, monkeypatch):
+        """No env override; the shared plan cache, keyed by the
+        unresolved ``"auto"``, is rebuilt on both sides so no decoder
+        built here serves a later test run under another override."""
+        from repro.link import reset_default_plan_cache
+
+        monkeypatch.delenv(ENV_BACKEND, raising=False)
+        reset_default_plan_cache()
+        yield
+        reset_default_plan_cache()
+
+    @pytest.fixture
+    def llr(self, small_code, small_encoder):
+        _, _, llr = make_noisy_llrs(small_code, small_encoder, 1.5, 6, seed=7)
+        return llr
+
+    @staticmethod
+    def assert_same(got, expected):
+        for field in ("bits", "llr", "iterations", "converged", "et_stopped"):
+            assert np.array_equal(
+                np.asarray(getattr(got, field)),
+                np.asarray(getattr(expected, field)),
+            ), field
+
+    def test_link_default_decode_runs_fast(self, small_code, llr):
+        import repro
+
+        explicit = DecoderConfig(backend="fast")
+        with repro.open(self.MODE) as link:
+            assert isinstance(link.decoder.backend, FastBackend)
+            self.assert_same(
+                link.decode(llr),
+                LayeredDecoder(small_code, explicit).decode(llr),
+            )
+            self.assert_same(
+                link.submit(llr).result(timeout=60),
+                LayeredDecoder(
+                    small_code, service_default_config(explicit)
+                ).decode(llr),
+            )
+
+    def test_service_and_server_defaults_run_fast(self, small_code, llr):
+        import asyncio
+
+        from repro.server import DecodeClient, DecodeServer
+        from repro.service import DecodeService
+
+        expected = LayeredDecoder(
+            small_code, service_default_config(DecoderConfig(backend="fast"))
+        ).decode(llr)
+        with DecodeService() as service:
+            served = service.submit(self.MODE, llr).result(timeout=60)
+        self.assert_same(served, expected)
+
+        async def round_trip():
+            async with DecodeServer() as server:
+                async with await DecodeClient.connect(*server.address) as c:
+                    return await c.decode(self.MODE, llr)
+
+        self.assert_same(asyncio.run(round_trip()), expected)
 
 
 class TestConfigValidation:

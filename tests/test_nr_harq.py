@@ -336,6 +336,69 @@ class TestWire:
         assert np.array_equal(again.iterations, fresh.iterations)
 
 
+    def test_harq_sessions_are_capped_per_connection(self, monkeypatch):
+        """100 fresh process ids on one connection never hold more than
+        HARQ_PROCESS_WINDOW soft buffers, all over one shared rate
+        matcher; a process inside the window keeps combining, an
+        evicted one starts over."""
+        import weakref
+
+        from repro.server import server as server_module
+
+        live = [0]
+        matchers = set()
+
+        def released():
+            live[0] -= 1
+
+        class TrackedSession(HarqSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live[0] += 1
+                matchers.add(id(self.matcher))
+                weakref.finalize(self, released)
+
+        monkeypatch.setattr(server_module, "HarqSession", TrackedSession)
+        window = server_module.HARQ_PROCESS_WINDOW
+        matcher = _matcher()
+        e = matcher.ncb // 2
+        rv0, _ = _transmission(matcher, 0, e, 1.0, noise_seed=97, batch=1)
+        rv2, _ = _transmission(matcher, 2, e, 1.0, noise_seed=98, batch=1)
+        processes = 100
+
+        async def scenario(server):
+            peak = 0
+            async with await DecodeClient.connect(*server.address) as client:
+                for process in range(processes):
+                    await client.decode(
+                        MODE, rv0, harq={"process": process, "rv": 0}
+                    )
+                    peak = max(peak, live[0])
+                oldest_kept = processes - window
+                kept = await client.decode(
+                    MODE, rv2, harq={"process": oldest_kept, "rv": 2}
+                )
+                evicted = await client.decode(
+                    MODE, rv2, harq={"process": 0, "rv": 2}
+                )
+                peak = max(peak, live[0])
+            return peak, kept, evicted
+
+        peak, kept, evicted = _serve(scenario)
+        assert peak == window
+        assert len(matchers) == 1
+        combined = HarqSession(matcher.code, CONFIG)
+        combined.push(rv0, 0)
+        expected = combined.receive(rv2, 2)
+        fresh = HarqSession(matcher.code, CONFIG).receive(rv2, 2)
+        assert not np.array_equal(expected.llr, fresh.llr)
+        for got, want in ((kept, expected), (evicted, fresh)):
+            for field in ("bits", "llr", "iterations", "converged"):
+                assert np.array_equal(
+                    getattr(got, field), getattr(want, field)
+                ), field
+
+
 class TestLinkIntegration:
     def test_link_harq_uses_link_decoder(self):
         import repro
