@@ -1,13 +1,11 @@
-"""Setuptools shim.
+"""Package metadata for the ``repro`` library (``src/`` layout).
 
-The canonical metadata lives in ``pyproject.toml``.  This file exists so
-that fully offline environments without the ``wheel`` package can still do
-an editable install via the legacy path::
+This file is the only packaging metadata.  Nothing needs installing to
+run the library, tests or examples in place (``PYTHONPATH=src``); for an
+editable install, including offline environments without the ``wheel``
+package::
 
     pip install -e . --no-build-isolation
-
-(pip falls back to ``setup.py develop`` when PEP 660 wheel building is
-unavailable).
 """
 
 from setuptools import find_packages, setup

@@ -16,7 +16,6 @@ from repro.codes.base_matrix import ZERO_BLOCK, BaseMatrix, BlockEntry
 from repro.codes.construction import (
     build_qc_base_matrix,
     count_base_four_cycles,
-    huge_synthetic_code,
 )
 from repro.codes.dmbt import dmbt_base_matrix, dmbt_block_length, dmbt_rates
 from repro.codes.nr import (
@@ -58,7 +57,6 @@ __all__ = [
     "dmbt_block_length",
     "dmbt_rates",
     "get_code",
-    "huge_synthetic_code",
     "list_modes",
     "nr_base_matrix",
     "nr_lifting_sizes",

@@ -6,8 +6,8 @@ Public surface:
 - :class:`LayeredDecoder` — paper Algorithm 1 (float or fixed point);
 - :class:`FloodingDecoder` — two-phase scheduling baseline;
 - :class:`DecodePlan` — compiled gather/scatter schedule (shift-ROM analogue);
-- the backend registry in :mod:`repro.decoder.backends`
-  (``reference`` / ``fast`` / optional ``numba``), selected via
+- the backends in :mod:`repro.decoder.backends`
+  (``reference`` / ``fast``), selected via
   ``DecoderConfig(backend=...)`` or ``REPRO_DECODER_BACKEND``;
 - check-node kernels in :mod:`repro.decoder.siso` (BP sum-sub /
   forward-backward, min-sum family, linear approximation);
@@ -22,15 +22,11 @@ from repro.decoder.api import (
     DecoderConfig,
 )
 from repro.decoder.backends import (
+    BACKENDS,
     DecoderBackend,
     FastBackend,
-    NumbaBackend,
     ReferenceBackend,
-    available_backends,
     make_backend,
-    make_shard_backend,
-    register_backend,
-    registered_backends,
     resolve_backend_name,
 )
 from repro.decoder.bitflipping import GallagerBDecoder
@@ -44,13 +40,6 @@ from repro.decoder.early_termination import (
 )
 from repro.decoder.flooding import FloodingDecoder
 from repro.decoder.layered import LayeredDecoder, prepare_channel_llrs
-from repro.decoder.partition import (
-    BoundaryTable,
-    PartitionedPlan,
-    ShardSubPlan,
-    balanced_layer_segments,
-    expand_block_columns,
-)
 from repro.decoder.plan import DecodePlan, resolve_layer_order
 from repro.decoder.state import DecodeState
 from repro.decoder.backends.base import KERNEL_TABLE, kernel_slot
@@ -67,10 +56,10 @@ from repro.decoder.siso import (
 
 __all__ = [
     "ActiveFrameSet",
+    "BACKENDS",
     "BP_IMPLEMENTATIONS",
     "BPForwardBackwardKernel",
     "BPSumSubKernel",
-    "BoundaryTable",
     "CHECK_NODE_ALGORITHMS",
     "CombinedEarlyTermination",
     "DecodePlan",
@@ -90,23 +79,14 @@ __all__ = [
     "LayeredDecoder",
     "LinearApproxKernel",
     "MinSumKernel",
-    "NumbaBackend",
     "PaperEarlyTermination",
-    "PartitionedPlan",
     "ReferenceBackend",
-    "ShardSubPlan",
     "SyndromeEarlyTermination",
-    "available_backends",
-    "balanced_layer_segments",
-    "expand_block_columns",
     "make_backend",
-    "make_shard_backend",
     "make_checknode_kernel",
     "make_early_termination",
     "make_monitor",
     "prepare_channel_llrs",
-    "register_backend",
-    "registered_backends",
     "resolve_backend_name",
     "resolve_layer_order",
 ]

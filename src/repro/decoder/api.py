@@ -152,15 +152,14 @@ class DecoderConfig:
         arithmetic, ground truth), ``"fast"`` (fused kernels for every
         algorithm: ROM/table ⊞/⊟ folds and two-smallest min-sum
         reductions in fixed point — bit-identical to the reference —
-        single-pass Φ-domain BP and fused min-sum kernels in float),
-        ``"numba"`` (JIT loops; falls back to ``"fast"`` with a
-        once-per-process warning when numba is missing), or the default
-        ``"auto"`` which honours the ``REPRO_DECODER_BACKEND``
-        environment variable and otherwise selects ``"fast"``.
+        single-pass Φ-domain BP and fused min-sum kernels in float), or
+        the default ``"auto"`` which honours the
+        ``REPRO_DECODER_BACKEND`` environment variable and otherwise
+        selects ``"fast"``.
     fast_exact:
-        Only meaningful for the ``fast``/``numba`` float BP sum-subtract
-        path, which evaluates the check node in the Φ ("tanh rule")
-        domain with exclusive prefix/suffix Φ-sums.  The default
+        Only meaningful for the ``fast`` float BP sum-subtract path,
+        which evaluates the check node in the Φ ("tanh rule") domain
+        with exclusive prefix/suffix Φ-sums.  The default
         ``False`` runs it in float32 for memory bandwidth (matches the
         reference to ~2e-7 relative per call on the operating range;
         Φ underflows beyond |λ| ≈ 88, so extrinsics of fully saturated
@@ -176,18 +175,6 @@ class DecoderConfig:
         of last-bit differences), which is why the guarantee is stated
         per kernel call.  Ignored by the reference backend and by
         fixed-point configurations.
-    shards:
-        Shard count for the sharded decode fabric
-        (:class:`~repro.runtime.fabric.ShardedDecoder`).  ``1`` (the
-        default) decodes in process as before; ``K > 1`` splits the
-        layered schedule across K shard subplans exchanging boundary
-        APP values through an explicit interconnect — bit-identical to
-        ``shards=1`` for any K (the fabric replays the exact serial
-        layer order as a wavefront).  :class:`~repro.service.PlanCache`
-        (and therefore ``Link.decode``, :class:`DecodeService` and the
-        decode server) route layered decodes onto the fabric whenever
-        ``shards > 1``.  Requests clamp to the number of processed
-        layers; only the layered schedule shards.
     """
 
     check_node: str = "bp"
@@ -207,7 +194,6 @@ class DecoderConfig:
     compact_frames: bool = True
     backend: str = "auto"
     fast_exact: bool = False
-    shards: int = 1
 
     def __post_init__(self):
         if not isinstance(self.backend, str) or not self.backend:
@@ -240,10 +226,6 @@ class DecoderConfig:
             raise DecoderConfigError("siso_guard_bits must be in 0..4")
         if self.app_clip is not None and self.app_clip < self.llr_clip:
             raise DecoderConfigError("app_clip must be >= llr_clip")
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-            raise DecoderConfigError("shards must be an int")
-        if self.shards < 1:
-            raise DecoderConfigError("shards must be >= 1")
 
     @property
     def is_fixed_point(self) -> bool:
@@ -327,7 +309,10 @@ class DecoderConfig:
         readable across versions that add fields); unknown keys raise
         :class:`~repro.errors.DecoderConfigError` rather than being
         silently dropped — a typo'd field name must not decode with a
-        different configuration than the sender asked for.
+        different configuration than the sender asked for.  Any other
+        malformed payload (a wrong type, a short ``qformat`` list) also
+        raises :class:`~repro.errors.DecoderConfigError`: this is the
+        parser of untrusted wire configs, so it raises nothing else.
         """
         fields_by_name = {f.name: f for f in dataclasses.fields(cls)}
         unknown = set(data) - set(fields_by_name)
@@ -335,21 +320,28 @@ class DecoderConfig:
             raise DecoderConfigError(
                 f"unknown DecoderConfig fields: {sorted(unknown)}"
             )
-        kwargs = {}
-        for name, value in data.items():
-            if name == "qformat" and value is not None:
-                total_bits, frac_bits = value[-2], value[-1]
-                value = QFormat(int(total_bits), int(frac_bits))
-            elif name == "layer_order" and value is not None:
-                value = tuple(int(v) for v in value)
-            elif (
-                isinstance(value, str)
-                and value in ("inf", "-inf", "nan")
-                and "float" in str(fields_by_name[name].type)
-            ):
-                value = float(value)
-            kwargs[name] = value
-        return cls(**kwargs)
+        try:
+            kwargs = {}
+            for name, value in data.items():
+                if name == "qformat" and value is not None:
+                    total_bits, frac_bits = value[-2], value[-1]
+                    value = QFormat(int(total_bits), int(frac_bits))
+                elif name == "layer_order" and value is not None:
+                    value = tuple(int(v) for v in value)
+                elif (
+                    isinstance(value, str)
+                    and value in ("inf", "-inf", "nan")
+                    and "float" in str(fields_by_name[name].type)
+                ):
+                    value = float(value)
+                kwargs[name] = value
+            return cls(**kwargs)
+        except DecoderConfigError:
+            raise
+        except (TypeError, ValueError, LookupError, OverflowError) as exc:
+            raise DecoderConfigError(
+                f"malformed DecoderConfig payload: {exc}"
+            ) from exc
 
 
 @dataclass

@@ -9,8 +9,8 @@ locks down the contracts the backend/compaction refactors rely on:
    through) produce *identical* results — every field, every datapath,
    every schedule, every backend.
 2. **Fixed point is bit-exact across backends.**  ``reference`` and
-   ``fast`` (and ``numba`` when importable) agree on hard bits, raw
-   LLRs, iteration counts and ET flags.
+   ``fast`` agree on hard bits, raw LLRs, iteration counts and ET
+   flags.
 3. **Float backends agree where they promise to.**  Non-(BP sum-sub)
    kernels are shared code, so they match exactly; the fast Φ-domain
    BP kernel guarantees hard-decision and iteration agreement (checked
@@ -31,11 +31,11 @@ import pytest
 
 from repro.codes import QCLDPCCode, build_qc_base_matrix
 from repro.decoder import (
+    BACKENDS,
     CHECK_NODE_ALGORITHMS,
     DecoderConfig,
     FloodingDecoder,
     LayeredDecoder,
-    available_backends,
 )
 from repro.encoder import make_encoder
 from repro.errors import CodeConstructionError, EncodingError
@@ -49,8 +49,6 @@ N_CODES = 3
 CASES_PER_CODE = 8
 
 SCHEDULES = {"layered": LayeredDecoder, "flooding": FloodingDecoder}
-
-BACKENDS = [b for b in ("reference", "fast", "numba") if b in available_backends()]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +358,7 @@ def test_matrix_covers_both_schedules_and_datapaths():
 def test_matrix_covers_every_algorithm_in_both_datapaths():
     """Every check-node algorithm runs fixed AND float through the
     cross-backend properties above — the fused min-sum / linear-approx
-    fast and numba kernels are fenced for the whole family."""
+    fast kernels are fenced for the whole family."""
     covered = {
         (dict(c.config_kwargs)["check_node"], "qformat" in dict(c.config_kwargs))
         for c in CASES
@@ -451,68 +449,6 @@ def test_process_service_decode_bit_identity():
             assert served.n_info == CODES[case.code_index].n_info
 
 
-# ---------------------------------------------------------------------------
-# Property 7: the sharded decode fabric is invisible
-# ---------------------------------------------------------------------------
-# ROADMAP item 4: one decode split across K shard workers, boundary APP
-# values moving through an explicit interconnect.  The property — the
-# *invariant the whole fabric is built around* — is that the shard count
-# changes nothing: for any K, every result field (bits, raw LLRs,
-# iteration counts including early-termination stops, ET flags,
-# convergence) is bit-identical to the single-decoder decode, for every
-# sampled (code, config, backend, datapath) cell.  Layered cases only:
-# the fabric partitions the layered schedule.
-@pytest.mark.parametrize("case", LAYERED_CASES, ids=_case_ids(LAYERED_CASES))
-@pytest.mark.parametrize("shards", [1, 2, 3, 5])
-def test_sharded_fabric_bit_identity(case, shards):
-    from repro.runtime import ShardedDecoder
-
-    code = CODES[case.code_index]
-    fabric = ShardedDecoder(code, case.config(shards=shards))
-    sharded = fabric.decode(_case_llrs(case))
-    _assert_identical(
-        sharded,
-        _decode(case),
-        f"{case.label} shards={shards} (placed {fabric.partition.shards}) "
-        f"vs single decoder",
-    )
-    telemetry = fabric.telemetry()
-    assert telemetry["requested_shards"] == shards
-    assert telemetry["supersteps"] == (
-        telemetry["iterations_total"] * fabric.partition.shards
-    )
-
-
-@pytest.mark.parametrize("compact", [True, False], ids=["compact", "carry"])
-def test_sharded_fabric_crash_mid_superstep_no_partial_results(compact):
-    """A shard worker crash mid-superstep aborts the whole decode with
-    WorkerCrashedError — no partial result object is ever returned —
-    and a retry on the same (respawned) pool is still bit-identical."""
-    from repro.errors import WorkerCrashedError
-    from repro.runtime import FaultPlan, ShardedDecoder, WorkerPool
-
-    case = next(
-        c for c in LAYERED_CASES
-        if dict(c.config_kwargs)["max_iterations"] >= 2 and c.batch >= 2
-    )
-    code = CODES[case.code_index]
-    config = case.config(shards=2, compact_frames=compact)
-    # 2nd shard step: reached by every K=2 decode regardless of how
-    # early the case's ET rule fires, for any master seed.
-    faults = FaultPlan(worker_crash=(1,))
-    with WorkerPool(2, name="fabric-chaos", faults=faults) as pool:
-        fabric = ShardedDecoder(code, config, pool=pool)
-        with pytest.raises(WorkerCrashedError):
-            fabric.decode(_case_llrs(case))
-        assert fabric.telemetry()["crashes"] == 1
-        retried = fabric.decode(_case_llrs(case))
-    _assert_identical(
-        retried,
-        _decode(case, compact_frames=compact),
-        f"{case.label} post-crash retry vs single decoder",
-    )
-
-
 @pytest.mark.parametrize("schedule", ["layered", "flooding"])
 def test_process_sweep_bit_identity(schedule):
     from repro.runtime import ProcessWorkerPool, SweepEngine
@@ -533,7 +469,7 @@ def test_process_sweep_bit_identity(schedule):
 
 
 # ---------------------------------------------------------------------------
-# Property 8: incremental-iteration slicing is invisible
+# Property 7: incremental-iteration slicing is invisible
 # ---------------------------------------------------------------------------
 # The incremental scheduler (DecodeService(iteration_slice=...)) cuts the
 # decode loop into begin_decode / step / finish slices.  Because both
@@ -585,8 +521,34 @@ def test_incremental_done_mask_monotone():
     assert state.done_mask.all()
 
 
+@pytest.mark.parametrize("case", CASES, ids=_case_ids(CASES))
+@pytest.mark.parametrize("iteration_slice", [1, 3])
+def test_incremental_slice_sizes_bit_identity(case, iteration_slice):
+    """Slicing at every iteration boundary (1) and at a slice that
+    divides no drawn budget evenly (3) lands each ET stop and the final
+    forced retirement in a different slice phase than the 2-iteration
+    property above — and still changes nothing."""
+    code = CODES[case.code_index]
+    llrs = _case_llrs(case)
+    for backend in BACKENDS:
+        config = case.config(backend=backend)
+        decoder = SCHEDULES[case.schedule](code, config)
+        state = decoder.begin_decode(llrs)
+        steps = 0
+        while not state.done:
+            decoder.step(state, iteration_slice)
+            steps += 1
+        assert steps <= -(-config.max_iterations // iteration_slice)
+        _assert_identical(
+            decoder.finish(state),
+            decoder.decode(llrs),
+            f"{case.label} backend={backend} "
+            f"{iteration_slice}-iteration slices vs one-shot",
+        )
+
+
 # ---------------------------------------------------------------------------
-# Property 9: NR rate-matched decode is a first-class matrix citizen
+# Property 8: NR rate-matched decode is a first-class matrix citizen
 # ---------------------------------------------------------------------------
 # Channel LLRs that went through the NR chain (puncturing, shortening,
 # repetition, soft combining) are just another decoder input: every
@@ -752,3 +714,67 @@ def test_nr_harq_redecode_is_fresh_decode():
             LayeredDecoder(code, config).decode(fresh_llrs),
             f"harq redecode ({'fixed' if config.qformat else 'float'})",
         )
+
+
+# ---------------------------------------------------------------------------
+# Property 9: the layered decode is the serial layer replay
+# ---------------------------------------------------------------------------
+# The paper's datapath walks the layers of the base matrix in one fixed
+# order, each sub-iteration reading the APP values the previous one
+# wrote.  The property: with early termination off, a decode is exactly
+# ``max_iterations`` passes of ``backend.update_layer`` over the plan's
+# processing order (``layer_order`` permutations included), starting
+# from the conditioned channel LLRs and an all-zero Λ memory — no hidden
+# arithmetic between layers, for every backend and datapath.
+@pytest.mark.parametrize("case", LAYERED_CASES, ids=_case_ids(LAYERED_CASES))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_layer_replay_is_the_decode(case, backend):
+    from repro.decoder.layered import prepare_channel_llrs
+
+    code = CODES[case.code_index]
+    config = case.config(backend=backend, early_termination="none")
+    decoder = LayeredDecoder(code, config)
+    llrs = _case_llrs(case)
+    working, _ = prepare_channel_llrs(config, code.n, llrs)
+    dtype = decoder.backend.work_dtype
+    app = working.astype(dtype)
+    lam = np.zeros((case.batch, decoder.plan.total_blocks, code.z), dtype=dtype)
+    for _iteration in range(config.max_iterations):
+        for layer_pos in range(decoder.plan.num_layers):
+            decoder.backend.update_layer(app, lam, layer_pos)
+
+    decoded = decoder.decode(llrs)
+    label = f"{case.label}/{backend} layer replay vs decode"
+    assert np.array_equal(decoded.bits, (app < 0).astype(np.uint8)), label
+    expected_llr = (
+        config.qformat.dequantize(app)
+        if config.is_fixed_point
+        else app.astype(np.float64)
+    )
+    assert np.array_equal(decoded.llr, expected_llr), label
+    assert (decoded.iterations == config.max_iterations).all(), label
+    assert not decoded.et_stopped.any(), label
+
+
+# ---------------------------------------------------------------------------
+# Property 10: batch rows decode independently
+# ---------------------------------------------------------------------------
+# Batching is a throughput device, never a numerical one: every frame of
+# a batch — with its own ET stop, retired out of order by compaction —
+# decodes exactly as it would alone, for every case of the matrix and
+# every backend.
+@pytest.mark.parametrize("case", CASES, ids=_case_ids(CASES))
+def test_batch_rows_decode_independently(case):
+    code = CODES[case.code_index]
+    llrs = _case_llrs(case)
+    for backend in BACKENDS:
+        decoder = SCHEDULES[case.schedule](code, case.config(backend=backend))
+        batch = decoder.decode(llrs)
+        for row in range(case.batch):
+            alone = decoder.decode(llrs[row])
+            context = f"{case.label}/{backend} row {row} alone vs in batch"
+            assert np.array_equal(alone.bits[0], batch.bits[row]), context
+            assert np.array_equal(alone.llr[0], batch.llr[row]), context
+            assert alone.iterations[0] == batch.iterations[row], context
+            assert alone.et_stopped[0] == batch.et_stopped[row], context
+            assert alone.converged[0] == batch.converged[row], context

@@ -1,10 +1,10 @@
-"""Backend registry + cross-backend equivalence tests.
+"""Backend selection + cross-backend equivalence tests.
 
 Contracts verified here:
 
 - fixed-point outputs (hard bits, raw LLRs, iteration counts) are
-  **bit-identical** across ``reference`` and ``fast`` (and ``numba``
-  when importable) on every registered standard;
+  **bit-identical** across ``reference`` and ``fast`` on every
+  registered standard;
 - the fast float Φ-domain kernel (exclusive prefix/suffix Φ-sums, no
   cancelling subtraction) matches the reference kernel per call on the
   operating range |λ| <= 20: float64 ``fast_exact`` to atol 1e-6,
@@ -18,14 +18,14 @@ Contracts verified here:
   88, its representable Φ ceiling); signs always agree;
 - non-BP check-node variants delegate to the identical reference
   kernels;
-- registry selection: explicit names, ``auto`` + environment override,
-  unknown-name errors, unavailable-backend fallback.
+- backend selection: explicit names, ``auto`` + environment override,
+  unknown-name errors.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.ber import BERSimulator
+import repro
 from repro.codes import get_code
 from repro.decoder import (
     BPSumSubKernel,
@@ -33,11 +33,9 @@ from repro.decoder import (
     DecoderConfig,
     FloodingDecoder,
     LayeredDecoder,
-    available_backends,
-    registered_backends,
     resolve_backend_name,
 )
-from repro.decoder.backends import ENV_BACKEND
+from repro.decoder.backends import BACKENDS, ENV_BACKEND
 from repro.decoder.backends.fast import FastBackend
 from repro.decoder.backends.reference import ReferenceBackend
 from repro.encoder import make_encoder
@@ -49,6 +47,9 @@ from tests.conftest import make_noisy_llrs
 #: One small mode per supported standard (DMB-T has a single z).
 STANDARD_MODES = ["802.16e:1/2:z24", "802.11n:1/2:z27", "DMB-T:0.4:z127"]
 
+#: Every check-node kernel built on the fused two-smallest reduction.
+MINSUM_FAMILY = ("minsum", "normalized-minsum", "offset-minsum", "linear-approx")
+
 #: Documented float tolerances of the fast Φ kernel per call, on the
 #: operating range |λ| <= 20 (see module docstring).
 ATOL_FAST_EXACT = 1e-6
@@ -56,19 +57,17 @@ ATOL_FAST_F32_DECISION = 1e-4
 RTOL_FAST_F32 = 1e-3
 
 
-def decode_pair(code, llr, config_kwargs, backends=("reference", "fast")):
+def decode_pair(code, llr, config_kwargs):
     results = []
-    for backend in backends:
+    for backend in ("reference", "fast"):
         config = DecoderConfig(backend=backend, **config_kwargs)
         results.append(LayeredDecoder(code, config).decode(llr))
     return results
 
 
 class TestRegistry:
-    def test_reference_and_fast_always_available(self):
-        assert "reference" in available_backends()
-        assert "fast" in available_backends()
-        assert set(available_backends()) <= set(registered_backends())
+    def test_reference_and_fast_are_the_backends(self):
+        assert BACKENDS == {"reference": ReferenceBackend, "fast": FastBackend}
 
     def test_auto_defaults_to_fast(self, monkeypatch):
         monkeypatch.delenv(ENV_BACKEND, raising=False)
@@ -99,37 +98,10 @@ class TestRegistry:
         with pytest.raises(DecoderConfigError):
             LayeredDecoder(small_code, DecoderConfig(backend="gpu"))
 
-    @pytest.mark.skipif(
-        "numba" in available_backends(), reason="numba installed"
-    )
-    def test_unavailable_numba_falls_back_to_fast(self, small_code, monkeypatch):
-        import repro.decoder.backends as registry
-
-        monkeypatch.setattr(registry, "_FALLBACK_WARNED", set())
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            decoder = LayeredDecoder(small_code, DecoderConfig(backend="numba"))
-        assert isinstance(decoder.backend, FastBackend)
-
-    @pytest.mark.skipif(
-        "numba" in available_backends(), reason="numba installed"
-    )
-    def test_unavailable_fallback_warns_once_per_process(
-        self, small_code, monkeypatch
-    ):
-        import warnings
-
-        import repro.decoder.backends as registry
-
-        monkeypatch.setattr(registry, "_FALLBACK_WARNED", set())
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            resolve_backend_name("numba")
-        # Every later resolve in the same process is silent — resolve()
-        # runs per decoder construction, not per decode, and a sweep
-        # builds thousands of decoders.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend_name("numba") == "fast"
-            LayeredDecoder(small_code, DecoderConfig(backend="numba"))
+    def test_retired_numba_backend_is_unknown(self, small_code):
+        config = DecoderConfig(backend="numba")
+        with pytest.raises(DecoderConfigError, match="unknown"):
+            LayeredDecoder(small_code, config)
 
     def test_decoder_uses_selected_backend(self, small_code):
         ref = LayeredDecoder(small_code, DecoderConfig(backend="reference"))
@@ -217,12 +189,12 @@ class TestConfigValidation:
     DecoderConfigError on every backend path — never a KeyError or a
     silent fallback deep inside kernel selection."""
 
-    @pytest.mark.parametrize("backend", ["reference", "fast", "numba"])
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_unknown_check_node_fails_at_construction(self, backend):
         with pytest.raises(DecoderConfigError, match="check_node"):
             DecoderConfig(backend=backend, check_node="min-sum")  # typo
 
-    @pytest.mark.parametrize("backend", ["reference", "fast", "numba"])
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_unknown_bp_impl_fails_at_construction(self, backend):
         with pytest.raises(DecoderConfigError, match="bp_impl"):
             DecoderConfig(backend=backend, bp_impl="sumsub")  # typo
@@ -299,17 +271,6 @@ class TestFixedPointBitExact:
             )
             results.append(FloodingDecoder(code, config).decode(llr))
         self._assert_identical(*results)
-
-    def test_numba_layered_bit_identical(self, mode):
-        pytest.importorskip("numba")
-        code, llr = self._workload(mode)
-        ref, nb = decode_pair(
-            code,
-            llr,
-            dict(qformat=QFormat(8, 2), max_iterations=4),
-            backends=("reference", "numba"),
-        )
-        self._assert_identical(ref, nb)
 
 
 class TestFloatEquivalence:
@@ -456,188 +417,79 @@ class TestEdgeCases:
             assert single.iterations[0] == batch.iterations[i]
 
 
-class TestNumbaJitArithmetic:
-    """The scalar kernels run uncompiled, so they are pinned down even on
-    machines without numba."""
+class TestLayerUpdateArithmetic:
+    """``FastBackend.update_layer`` against ``ReferenceBackend.update_layer``
+    one layer at a time, from arbitrary (not decode-reachable) APP and Λ
+    memories — the per-layer contract the decoders and per-layer traces
+    build on, pinned below whole-decode identity."""
 
-    def test_box_combine_scalar_matches_fixed_ops(self, rng):
-        from repro.decoder.backends.numba_jit import box_combine_scalar
-        from repro.fixedpoint.boxplus import FixedBoxOps
+    def _replay(self, code, config, l_start, lam_start):
+        plan = DecodePlan(code)
+        pair = []
+        for backend_cls in (ReferenceBackend, FastBackend):
+            backend = backend_cls(plan, config)
+            l_mem = l_start.astype(backend.work_dtype)
+            lam = lam_start.astype(backend.work_dtype)
+            for pos in range(plan.num_layers):
+                backend.update_layer(l_mem, lam, pos)
+            pair.append((l_mem, lam))
+        # One pass rewrites every Λ block: the comparison is not vacuous.
+        assert not np.array_equal(pair[0][1], lam_start)
+        return plan, pair
 
-        ops = FixedBoxOps(QFormat(8, 2))
-        m = ops.qformat.max_int
-        plus, minus = ops.flat_tables()
-        values = rng.integers(-m, m + 1, size=(200, 2))
-        for a, b in values:
-            assert box_combine_scalar(int(a), int(b), plus, m) == int(
-                ops.boxplus(np.array(a), np.array(b))
-            )
-            assert box_combine_scalar(int(a), int(b), minus, m) == int(
-                ops.boxminus(np.array(a), np.array(b))
-            )
-
-    def _random_state(self, tiny_code, plan, app_max, rng, batch=3):
-        l_ref = rng.integers(
-            -app_max, app_max + 1, size=(batch, tiny_code.n)
-        ).astype(np.int32)
-        lam_ref = rng.integers(
-            -127, 128, size=(batch, plan.total_blocks, tiny_code.z)
-        ).astype(np.int32)
-        return l_ref, lam_ref
-
-    def test_update_layer_fixed_guard0_matches_reference(self, tiny_code, rng):
-        from repro.decoder.backends.numba_jit import update_layer_fixed
-        from repro.fixedpoint.boxplus import FixedBoxOps
-
-        config = DecoderConfig(
-            qformat=QFormat(8, 2), backend="reference", siso_guard_bits=0
+    def _fixed_state(self, code, config, rng, batch=3):
+        plan = DecodePlan(code)
+        app_max = config.app_qformat.max_int
+        msg_max = config.qformat.max_int
+        l_start = rng.integers(-app_max, app_max + 1, size=(batch, code.n))
+        lam_start = rng.integers(
+            -msg_max, msg_max + 1, size=(batch, plan.total_blocks, code.z)
         )
-        plan = DecodePlan(tiny_code)
-        reference = ReferenceBackend(plan, config)
-        ops = FixedBoxOps(config.qformat)
-        plus, minus = ops.flat_tables()
-        app_max = config.app_qformat.max_int
+        return l_start, lam_start
 
-        l_ref, lam_ref = self._random_state(tiny_code, plan, app_max, rng)
-        l_jit, lam_jit = l_ref.copy(), lam_ref.copy()
-
-        for pos in range(plan.num_layers):
-            reference.update_layer(l_ref, lam_ref, pos)
-            sl = plan.lambda_slices[pos]
-            update_layer_fixed(
-                l_jit,
-                lam_jit,
-                plan.flat_indices[pos],
-                sl.start,
-                plus,
-                minus,
-                np.int32(127),
-                np.int32(app_max),
-                sl.stop - sl.start,
-                tiny_code.z,
-            )
-        assert np.array_equal(l_ref, l_jit)
-        assert np.array_equal(lam_ref, lam_jit)
-
-    def test_update_layer_fixed_guarded_matches_reference(self, tiny_code, rng):
-        from repro.decoder.backends.numba_jit import update_layer_fixed_guard
-        from repro.fixedpoint.boxplus import make_guard_tables
-
-        config = DecoderConfig(qformat=QFormat(8, 2), backend="reference")
-        plan = DecodePlan(tiny_code)
-        reference = ReferenceBackend(plan, config)
-        tables = make_guard_tables(config.qformat, config.siso_guard_bits)
-        app_max = config.app_qformat.max_int
-
-        l_ref, lam_ref = self._random_state(tiny_code, plan, app_max, rng)
-        l_jit, lam_jit = l_ref.copy(), lam_ref.copy()
-
-        for pos in range(plan.num_layers):
-            reference.update_layer(l_ref, lam_ref, pos)
-            sl = plan.lambda_slices[pos]
-            update_layer_fixed_guard(
-                l_jit,
-                lam_jit,
-                plan.flat_indices[pos],
-                sl.start,
-                tables.f,
-                tables.g,
-                np.int32(config.siso_guard_bits),
-                np.int32(127),
-                np.int32(app_max),
-                sl.stop - sl.start,
-                tiny_code.z,
-            )
-        assert np.array_equal(l_ref, l_jit)
-        assert np.array_equal(lam_ref, lam_jit)
-
-    @pytest.mark.parametrize(
-        "check_node", ["minsum", "normalized-minsum", "offset-minsum"]
-    )
-    def test_update_layer_minsum_fixed_matches_reference(
-        self, tiny_code, rng, check_node
-    ):
-        from repro.decoder.backends.numba_backend import _minsum_mode
-        from repro.decoder.backends.numba_jit import update_layer_minsum_fixed
-
+    @pytest.mark.parametrize("guard_bits", [0, 2], ids=["guard0", "guarded"])
+    def test_fixed_bp_layer_bit_identical(self, tiny_code, rng, guard_bits):
         config = DecoderConfig(
-            qformat=QFormat(8, 2), backend="reference", check_node=check_node
+            qformat=QFormat(8, 2), siso_guard_bits=guard_bits
         )
+        l_start, lam_start = self._fixed_state(tiny_code, config, rng)
+        _, [(l_ref, lam_ref), (l_fast, lam_fast)] = self._replay(
+            tiny_code, config, l_start, lam_start
+        )
+        assert np.array_equal(l_ref, l_fast)
+        assert np.array_equal(lam_ref, lam_fast)
+
+    @pytest.mark.parametrize("check_node", MINSUM_FAMILY)
+    def test_fixed_minsum_layer_bit_identical(self, tiny_code, rng, check_node):
+        config = DecoderConfig(qformat=QFormat(8, 2), check_node=check_node)
+        l_start, lam_start = self._fixed_state(tiny_code, config, rng)
+        _, [(l_ref, lam_ref), (l_fast, lam_fast)] = self._replay(
+            tiny_code, config, l_start, lam_start
+        )
+        assert np.array_equal(l_ref, l_fast)
+        assert np.array_equal(lam_ref, lam_fast)
+
+    @pytest.mark.parametrize("check_node", MINSUM_FAMILY)
+    def test_float_minsum_layer_identical(self, tiny_code, rng, check_node):
+        config = DecoderConfig(check_node=check_node)
         plan = DecodePlan(tiny_code)
-        reference = ReferenceBackend(plan, config)
-        mode, norm, offset_raw = _minsum_mode(config)
-        app_max = config.app_qformat.max_int
-
-        l_ref, lam_ref = self._random_state(tiny_code, plan, app_max, rng)
-        l_jit, lam_jit = l_ref.copy(), lam_ref.copy()
-
-        for pos in range(plan.num_layers):
-            reference.update_layer(l_ref, lam_ref, pos)
-            sl = plan.lambda_slices[pos]
-            update_layer_minsum_fixed(
-                l_jit,
-                lam_jit,
-                plan.flat_indices[pos],
-                sl.start,
-                np.int32(127),
-                np.int32(app_max),
-                np.int32(mode),
-                np.float64(norm),
-                np.int32(offset_raw),
-                sl.stop - sl.start,
-                tiny_code.z,
-            )
-        assert np.array_equal(l_ref, l_jit)
-        assert np.array_equal(lam_ref, lam_jit)
-
-    @pytest.mark.parametrize(
-        "check_node", ["minsum", "normalized-minsum", "offset-minsum"]
-    )
-    def test_update_layer_minsum_float_matches_reference(
-        self, tiny_code, rng, check_node
-    ):
-        from repro.decoder.backends.numba_backend import _minsum_mode
-        from repro.decoder.backends.numba_jit import update_layer_minsum_float
-
-        config = DecoderConfig(backend="reference", check_node=check_node)
-        plan = DecodePlan(tiny_code)
-        reference = ReferenceBackend(plan, config)
-        mode, norm, _ = _minsum_mode(config)
-
         batch = 3
-        l_ref = rng.normal(0.0, 8.0, size=(batch, tiny_code.n))
-        lam_ref = rng.normal(
+        l_start = rng.normal(0.0, 8.0, size=(batch, tiny_code.n))
+        lam_start = rng.normal(
             0.0, 2.0, size=(batch, plan.total_blocks, tiny_code.z)
         )
-        l_jit, lam_jit = l_ref.copy(), lam_ref.copy()
-
-        for pos in range(plan.num_layers):
-            reference.update_layer(l_ref, lam_ref, pos)
-            sl = plan.lambda_slices[pos]
-            update_layer_minsum_float(
-                l_jit,
-                lam_jit,
-                plan.flat_indices[pos],
-                sl.start,
-                np.float64(config.llr_clip),
-                np.float64(config.effective_app_clip),
-                np.int32(mode),
-                np.float64(norm),
-                np.float64(config.offset),
-                sl.stop - sl.start,
-                tiny_code.z,
-            )
-        assert np.array_equal(l_ref, l_jit)
-        assert np.array_equal(lam_ref, lam_jit)
+        _, [(l_ref, lam_ref), (l_fast, lam_fast)] = self._replay(
+            tiny_code, config, l_start, lam_start
+        )
+        assert np.array_equal(l_ref, l_fast)
+        assert np.array_equal(lam_ref, lam_fast)
 
 
-class TestBERSimulatorIntegration:
-    def test_backend_override_parameter(self, small_code):
-        sim = BERSimulator(small_code, seed=1, backend="fast")
-        assert sim.config.backend == "fast"
-        assert isinstance(sim.decoder.backend, FastBackend)
-        with pytest.deprecated_call():
-            point = sim.run_point(3.0, max_frames=20, batch_size=10)
+class TestSweepIntegration:
+    def test_sweep_runs_the_selected_backend(self, small_code):
+        link = repro.open(small_code, DecoderConfig(backend="fast"), seed=1)
+        assert isinstance(link.decoder.backend, FastBackend)
+        [point] = link.sweep([3.0], max_frames=20, batch_size=10)
         assert point.frames == 20
 
     def test_fast_and_reference_statistics_close(self, small_code):

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.codes import get_code
-from repro.decoder import DecoderConfig, LayeredDecoder, available_backends
+from repro.decoder import BACKENDS, DecoderConfig, LayeredDecoder
 from repro.fixedpoint import QFormat
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -62,7 +62,7 @@ class TestFixedPointGolden:
     def results(self, golden):
         code = get_code(str(golden["mode"]))
         out = {}
-        for backend in available_backends():
+        for backend in BACKENDS:
             for compact in (True, False):
                 config = DecoderConfig(
                     backend=backend,

@@ -8,8 +8,7 @@ Three contracts are pinned here:
    LayeredDecoder`` chain frame for frame (the api_redesign acceptance
    cell);
 2. **One sweep engine** — ``Link.sweep`` must equal a directly-driven
-   :class:`~repro.runtime.SweepEngine` bit for bit, and the deprecated
-   ``BERSimulator`` shims must route through the same engine;
+   :class:`~repro.runtime.SweepEngine` bit for bit;
 3. **Wire format** — ``DecoderConfig.to_dict``/``from_dict`` must
    round-trip every field (including ``QFormat``, ``layer_order`` and
    non-finite floats) through strict JSON with the cache identity
@@ -23,6 +22,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import DecoderConfig, LayeredDecoder, QFormat, get_code, make_encoder
@@ -32,6 +32,21 @@ from repro.errors import DecoderConfigError, LinkError, UnknownCodeError
 from repro.link import Link, default_plan_cache, open_all, reset_default_plan_cache
 from repro.runtime import SweepEngine
 from repro.service import PlanCache
+
+#: Any value a JSON parser can hand to ``DecoderConfig.from_dict``.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+#: Config payloads keyed mostly by real field names, plus strays.
+CONFIG_PAYLOADS = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(DecoderConfig)])
+    | st.text(max_size=12),
+    JSON_VALUES,
+    max_size=5,
+)
 
 #: One representative mode per registry standard (smallest of each, so
 #: the full matrix stays fast; DMB-T is the N=7493 synthetic matrix).
@@ -146,20 +161,6 @@ class TestLinkSweepUnified:
         resumed = link.sweep([2.0, 3.0], checkpoint=path, **budget)
         assert [p.to_dict() for p in first] == [p.to_dict() for p in resumed]
 
-    def test_deprecated_simulator_routes_through_engine(self, small_code):
-        from repro.analysis.ber import BERSimulator
-
-        sim = BERSimulator(small_code, seed=21, backend="fast")
-        with pytest.deprecated_call():
-            via_shim = sim.run_sweep([1.0, 2.5], max_frames=40, batch_size=20)
-        link = repro.open(
-            "802.16e:1/2:z24", DecoderConfig(backend="fast"), seed=21
-        )
-        via_link = link.sweep([1.0, 2.5], max_frames=40, batch_size=20)
-        assert [p.to_dict() for p in via_shim] == [
-            p.to_dict() for p in via_link
-        ]
-
 
 class TestConfigWireFormat:
     def test_round_trips_every_field(self):
@@ -208,6 +209,29 @@ class TestConfigWireFormat:
     def test_unknown_field_rejected(self):
         with pytest.raises(DecoderConfigError):
             DecoderConfig.from_dict({"max_iters": 5})
+
+    def test_shard_count_is_not_a_config_field(self):
+        # One layered decoder per request: no shard count in the config,
+        # its wire form or its cache identity; older clients that still
+        # send one get a typed error.
+        config = DecoderConfig()
+        assert "shards" not in config.to_dict()
+        assert "shards" not in repr(config.cache_key())
+        with pytest.raises(TypeError):
+            DecoderConfig(shards=2)
+        with pytest.raises(DecoderConfigError, match="unknown"):
+            DecoderConfig.from_dict({**config.to_dict(), "shards": 1})
+
+    @given(CONFIG_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_from_dict_raises_only_config_errors(self, payload):
+        # The parser of untrusted wire configs: a config or a typed
+        # DecoderConfigError, never a bare TypeError/IndexError/...
+        try:
+            config = DecoderConfig.from_dict(payload)
+        except DecoderConfigError:
+            return
+        assert isinstance(config, DecoderConfig)
 
     def test_nonfinite_cache_keys_equal(self):
         a = DecoderConfig(app_clip=float("inf"))

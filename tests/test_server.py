@@ -184,14 +184,33 @@ class TestRequestParsing:
         with pytest.raises(ProtocolError, match="payload is"):
             protocol.parse_request(header, llr.tobytes()[:-8])
 
-    def test_bad_config_dict_is_config_error_not_protocol_error(self):
+    @pytest.mark.parametrize(
+        "config, match",
+        [
+            ({"not_a_config_field": 1}, "unknown"),
+            # The retired shard count, as every older client sends it.
+            ({"shards": 1}, "unknown"),
+            ({"shards": 2}, "unknown"),
+            ({"qformat": 5}, "malformed"),
+            ({"qformat": []}, "malformed"),
+            ({"max_iterations": "x"}, "malformed"),
+            ({"layer_order": 3}, "malformed"),
+        ],
+        ids=[
+            "unknown-field", "shards-1", "shards-2", "qformat-int",
+            "qformat-empty", "max_iterations-str", "layer_order-int",
+        ],
+    )
+    def test_bad_config_dict_is_config_error_not_protocol_error(
+        self, config, match
+    ):
         # Well-framed but semantically invalid config: per-request
         # failure, not a stream poisoner.
         from repro.errors import DecoderConfigError
 
         llr = _llr(1, seed=4)
-        header = self._header(llr, config={"not_a_config_field": 1})
-        with pytest.raises(DecoderConfigError, match="unknown"):
+        header = self._header(llr, config=config)
+        with pytest.raises(DecoderConfigError, match=match):
             protocol.parse_request(header, llr.tobytes())
 
 
