@@ -64,6 +64,12 @@ Two further scenarios ride along and land in the same JSON:
   frames/s and client-observed p99 on both paths, so the framed-
   protocol transport cost is tracked from PR to PR; asserts socket
   results stay bit-identical to direct decodes.
+- **small_batch** — the batch sizes a decode server sees (B = 1, 2, 8):
+  µs per ``update_layer`` and ms per decode on the ``fast`` backend for
+  NR BG1 z32 and BG2 z16 (float) and WiMax N=576 Q8.2, whose rows also
+  decode on ``reference``; fails the run unless the Q8.2 outputs are
+  bit-identical (``fixed_bit_identical``).  No speed floor: one-frame
+  timings on shared runners are too noisy for one.
 
 Usage::
 
@@ -1000,6 +1006,88 @@ def run_harq_benchmark(frames: int, repeats: int = 1) -> dict:
     return entry
 
 
+#: Small-batch scenario: the batch sizes a decode server actually sees
+#: (ROADMAP item 4(b)).  ``(label, mode, qformat)`` rows; the Q8.2 row
+#: is the single-frame N=576 figure the roadmap targets.
+SMALL_BATCH_ROWS = (
+    ("nr_bg1_z32_float", "NR:bg1:z32", None),
+    ("nr_bg2_z16_float", "NR:bg2:z16", None),
+    ("wimax_n576_q8.2", "802.16e:1/2:z24", QFormat(8, 2)),
+)
+SMALL_BATCH_SIZES = (1, 2, 8)
+
+
+def time_layer_pass(decoder, llr, repeats: int) -> float:
+    """Best-of-N µs per ``update_layer`` over one full layer sweep.
+
+    Times the decoder's own per-layer seam (the call the layered
+    decoder makes once per layer) on its conditioned working state.
+    """
+    state = decoder.begin_decode(llr)
+    l_messages, lambdas = state.arrays
+    backend = decoder.backend
+    layers = decoder.plan.num_layers
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for pos in range(layers):
+            backend.update_layer(l_messages, lambdas, pos)
+        best = min(best, time.perf_counter() - start)
+    return best / layers * 1e6
+
+
+def run_small_batch_benchmark(repeats: int) -> dict:
+    """µs per layer update and ms per decode at serving batch sizes.
+
+    Every row decodes on the default ``fast`` backend; the Q8.2 row also
+    decodes on ``reference`` and records whether the two agree bit for
+    bit at every batch size (``fixed_bit_identical``, a CI gate).
+    """
+    entry: dict = {
+        "ebn0_db": EBN0_DB,
+        "max_iterations": 10,
+        "early_termination": "paper",
+        "batch_sizes": list(SMALL_BATCH_SIZES),
+        "rows": {},
+    }
+    identical = True
+    for label, mode, qformat in SMALL_BATCH_ROWS:
+        code, llr = make_workload(mode, max(SMALL_BATCH_SIZES))
+        config = DecoderConfig(
+            backend="fast",
+            qformat=qformat,
+            max_iterations=10,
+            early_termination="paper",
+        )
+        fast = LayeredDecoder(code, config)
+        reference = None
+        if qformat is not None:
+            reference = LayeredDecoder(code, config.replace(backend="reference"))
+        for batch in SMALL_BATCH_SIZES:
+            frames = llr[:batch]
+            seconds, result = time_decoder(fast, frames, repeats)
+            row = {
+                "mode": mode,
+                "batch": batch,
+                "update_layer_us": round(
+                    time_layer_pass(fast, frames, max(repeats, 3)), 2
+                ),
+                "decode_ms": round(seconds * 1e3, 3),
+                "average_iterations": round(result.average_iterations, 2),
+            }
+            if reference is not None:
+                ref_seconds, expected = time_decoder(reference, frames, 1)
+                row["reference_decode_ms"] = round(ref_seconds * 1e3, 3)
+                identical &= bool(
+                    np.array_equal(expected.bits, result.bits)
+                    and np.array_equal(expected.llr, result.llr)
+                    and np.array_equal(expected.iterations, result.iterations)
+                )
+            entry["rows"][f"{label}_b{batch}"] = row
+    entry["fixed_bit_identical"] = identical
+    return entry
+
+
 def summarize(results: dict) -> str:
     table = Table(
         ["workload", "backend", "float Mbps", "fixed Mbps",
@@ -1151,6 +1239,28 @@ def summarize(results: dict) -> str:
                 ]
             )
         rendered += "\n" + htable.render()
+    small = results.get("small_batch")
+    if small:
+        stable = Table(
+            ["row", "B", "µs/layer", "ms/decode", "avg iters",
+             "reference ms/decode"],
+            title=(
+                "Small batches (fast backend; Q8.2 fast-vs-reference "
+                f"bit-identical: {small['fixed_bit_identical']})"
+            ),
+        )
+        for label, row in small["rows"].items():
+            stable.add_row(
+                [
+                    label,
+                    str(row["batch"]),
+                    f"{row['update_layer_us']:.1f}",
+                    f"{row['decode_ms']:.2f}",
+                    f"{row['average_iterations']:.2f}",
+                    str(row.get("reference_decode_ms", "-")),
+                ]
+            )
+        rendered += "\n" + stable.render()
     server = results.get("server")
     if server:
         rendered += (
@@ -1240,6 +1350,7 @@ def main(argv=None) -> int:
     results["harq"] = run_harq_benchmark(
         24 if args.smoke else 96, repeats=repeats
     )
+    results["small_batch"] = run_small_batch_benchmark(repeats)
     print(summarize(results))
 
     failures = []
@@ -1250,6 +1361,9 @@ def main(argv=None) -> int:
     for key, value in results["minsum"].items():
         if key.endswith("_bit_identical") and value is not True:
             failures.append(f"minsum: {key} = {value}")
+    for key, value in results["small_batch"].items():
+        if key.endswith("_bit_identical") and value is not True:
+            failures.append(f"small_batch: {key} = {value}")
     for label, entry in results["compaction"].items():
         if entry["bit_identical"] is not True:
             failures.append(f"compaction/{label}: outputs differ")

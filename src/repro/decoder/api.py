@@ -38,6 +38,18 @@ BP_IMPLEMENTATIONS = ("sum-sub", "forward-backward")
 #: Valid early-termination rules.
 ET_MODES = ("none", "paper", "syndrome", "paper-or-syndrome")
 
+#: Widest fixed-point APP word (``qformat.total_bits + app_extra_bits``).
+#: Both backends hold the datapath in int32 and form ``L - Λ`` there
+#: before saturating, so an APP word plus one carry bit must fit.
+MAX_APP_WORD_BITS = 31
+
+#: Entry budget of one ⊞/⊟ correction table.  A fixed-point BP
+#: sum-subtract decoder builds two int32 tables spanning every reachable
+#: guard-resolution magnitude, ``2 · max_int · 2^siso_guard_bits + 1``
+#: entries each; 2^20 entries (4 MiB per table) admits Q18 at the
+#: default 2 guard bits and Q16 at the widest, 4.
+MAX_CORRECTION_TABLE_ENTRIES = 1 << 20
+
 
 def _canonical_value(value):
     """Primitive, hashable, JSON-expressible identity of one field value.
@@ -89,7 +101,10 @@ class DecoderConfig:
     qformat:
         ``None`` for a floating-point decoder, or a
         :class:`~repro.fixedpoint.quantize.QFormat` for the integer
-        datapath with 3-bit LUT corrections.
+        datapath with 3-bit LUT corrections.  Its APP word
+        (``total_bits + app_extra_bits``) is bounded by
+        :data:`MAX_APP_WORD_BITS`, and a BP sum-subtract format's
+        correction tables by :data:`MAX_CORRECTION_TABLE_ENTRIES`.
     normalization:
         Scale factor for ``"normalized-minsum"``.
     offset:
@@ -226,6 +241,44 @@ class DecoderConfig:
             raise DecoderConfigError("siso_guard_bits must be in 0..4")
         if self.app_clip is not None and self.app_clip < self.llr_clip:
             raise DecoderConfigError("app_clip must be >= llr_clip")
+        if self.app_extra_bits > MAX_APP_WORD_BITS:
+            # Float mode clips the APP at llr_clip * 2^app_extra_bits:
+            # past this width that bounds nothing, and past ~1000 bits
+            # the scale no longer converts to a float.
+            raise DecoderConfigError(
+                f"app_extra_bits must be <= {MAX_APP_WORD_BITS}"
+            )
+        if self.qformat is not None:
+            self._check_fixed_width()
+
+    def _check_fixed_width(self) -> None:
+        """Reject formats the int32 datapath or the table budget cannot hold.
+
+        Wire payloads reach here through :meth:`from_dict`, so an
+        oversized ``qformat`` must fail as a config error now rather
+        than as an ``OverflowError`` or a multi-GiB table allocation at
+        the first decode.
+        """
+        qformat = self.qformat
+        if not isinstance(qformat, QFormat):
+            raise DecoderConfigError(
+                f"qformat must be a QFormat or None, got {qformat!r}"
+            )
+        word = qformat.total_bits + self.app_extra_bits
+        if word > MAX_APP_WORD_BITS:
+            raise DecoderConfigError(
+                f"{qformat} with app_extra_bits={self.app_extra_bits} "
+                f"needs a {word}-bit APP word; the int32 datapath holds "
+                f"at most {MAX_APP_WORD_BITS}"
+            )
+        if self.check_node == "bp" and self.bp_impl == "sum-sub":
+            entries = 2 * qformat.max_int * (1 << self.siso_guard_bits) + 1
+            if entries > MAX_CORRECTION_TABLE_ENTRIES:
+                raise DecoderConfigError(
+                    f"{qformat} with siso_guard_bits={self.siso_guard_bits} "
+                    f"needs {entries} entries per correction table; the "
+                    f"budget is {MAX_CORRECTION_TABLE_ENTRIES}"
+                )
 
     @property
     def is_fixed_point(self) -> bool:

@@ -153,14 +153,35 @@ class DecodePlan:
     def scratch(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """A reusable working buffer for one backend stage.
 
-        The leading dimension is treated as a *capacity*: buffers are
-        keyed by ``(key, shape[1:], dtype)`` and sized to the largest
-        leading dimension requested so far, and a prefix view is returned.
-        Active-frame compaction shrinks the batch monotonically within a
-        decode, so every per-iteration request after the first is served
-        from the same allocation instead of minting (and thrashing) one
-        slot per surviving batch size.  Contents are unspecified on
-        return; the returned prefix view is C-contiguous.
+        The one-buffer form of :meth:`scratch_set`, keyed by
+        ``(key, shape[1:], dtype)`` with ``shape[0]`` as the batch.
+        """
+        tail = tuple(shape[1:])
+        dtype = np.dtype(dtype)
+        return self.scratch_set((key, tail, dtype), ((tail, dtype),), shape[0])[0]
+
+    def scratch_set(
+        self, tag, layout: tuple[tuple[tuple[int, ...], object], ...], batch: int
+    ) -> tuple[np.ndarray, ...]:
+        """Every working buffer of one backend stage, from one lookup.
+
+        ``layout`` lists ``(shape_tail, dtype)`` per buffer and must be
+        the same on every call with the same hashable ``tag``; each
+        returned view has shape ``(batch, *shape_tail)`` and is
+        C-contiguous.
+
+        The leading dimension is treated as a *capacity*: the buffers
+        are sized to the largest batch requested so far, and a prefix
+        view is returned.  Active-frame compaction shrinks the batch
+        monotonically within a decode, so every per-iteration request
+        after the first is served from the same allocation instead of
+        minting (and thrashing) one slot per surviving batch size.  The
+        prefix views of the last batch are kept, so a repeat costs one
+        dict lookup: the per-layer budget of a small-batch decode has no
+        room for a key build and a ``np.dtype`` call per buffer.
+        Buffers are zero-filled when allocated; after that their
+        contents are whatever the caller left, so a region it never
+        writes stays zero (the Φ kernel keeps its sum pads that way).
 
         The buffer pool is **thread-local**: the compiled index tables
         are immutable after construction and every mutable working
@@ -170,15 +191,21 @@ class DecodePlan:
         :class:`~repro.service.PlanCache`.  Each thread pays for its own
         buffers; nothing is shared between decodes on different threads.
         """
-        pools = getattr(self._scratch, "pools", None)
-        if pools is None:
-            pools = self._scratch.pools = {}
-        slot = (key, shape[1:], np.dtype(dtype))
-        buffer = pools.get(slot)
-        if buffer is None or buffer.shape[0] < shape[0]:
-            buffer = np.empty(shape, dtype=dtype)
-            pools[slot] = buffer
-        return buffer[: shape[0]]
+        sets = getattr(self._scratch, "sets", None)
+        if sets is None:
+            sets = self._scratch.sets = {}
+        entry = sets.get(tag)
+        if entry is not None and entry[1] == batch:
+            return entry[2]
+        if entry is None or entry[0][0].shape[0] < batch:
+            bases = tuple(
+                np.zeros((batch, *tail), dtype=dtype) for tail, dtype in layout
+            )
+        else:
+            bases = entry[0]
+        views = tuple(base[:batch] for base in bases)
+        sets[tag] = (bases, batch, views)
+        return views
 
     def validate(self) -> None:
         """Re-derive every index from ``code.layer_tables`` and compare.

@@ -33,14 +33,17 @@ from repro.decoder import (
     DecoderConfig,
     FloodingDecoder,
     LayeredDecoder,
+    prepare_channel_llrs,
     resolve_backend_name,
 )
 from repro.decoder.backends import BACKENDS, ENV_BACKEND
-from repro.decoder.backends.fast import FastBackend
+from repro.decoder.backends import fast as fast_module
+from repro.decoder.backends.fast import TAKE_GATHER_MAX_BZ, FastBackend
 from repro.decoder.backends.reference import ReferenceBackend
 from repro.encoder import make_encoder
 from repro.errors import DecoderConfigError
 from repro.fixedpoint import QFormat
+from repro.nr import NRRateMatcher
 from repro.service import service_default_config
 from tests.conftest import make_noisy_llrs
 
@@ -483,6 +486,97 @@ class TestLayerUpdateArithmetic:
         )
         assert np.array_equal(l_ref, l_fast)
         assert np.array_equal(lam_ref, lam_fast)
+
+    # -- small-batch gather crossover ----------------------------------
+    # Up to ``TAKE_GATHER_MAX_BZ`` the layer update gathers with one
+    # ``take`` and writes back with one scatter; above it, with slice
+    # copies.  Both must move exactly the same bytes, so every cell
+    # replays the same NR rate-matched state with each path forced
+    # (through the crossover constant) and with the shipped crossover,
+    # and compares raw bytes — ``array_equal`` would let a -0.0/+0.0
+    # swap through.
+    CROSSOVER_MODE = "NR:bg2:z32"
+    CROSSOVER_B = TAKE_GATHER_MAX_BZ // 32  # largest batch that takes
+    CROSSOVER_BATCHES = (
+        1, 2, 3, CROSSOVER_B - 1, CROSSOVER_B, CROSSOVER_B + 1, 64,
+    )
+
+    def _nr_layer_state(self, code, plan, config, batch, seed):
+        """Channel LLRs of an rv0 rate-matched NR buffer (erasure
+        placeholders at punctured and untransmitted positions) plus a
+        Λ memory with exact cancellations ``L == Λ != 0`` and genuine
+        zeros ``L == Λ == 0`` in the first layer."""
+        rng = np.random.default_rng(seed)
+        matcher = NRRateMatcher(code, n_filler=8)
+        payload = rng.integers(0, 2, (batch, matcher.n_payload), dtype=np.uint8)
+        codewords = make_encoder(code).encode(matcher.place_fillers(payload))
+        e = matcher.ncb * 2 // 3
+        sel = matcher.select(0, e)
+        signs = 1.0 - 2.0 * codewords[:, sel].astype(np.float64)
+        soft = matcher.derate_match(
+            2.0 * (signs + 0.8 * rng.standard_normal((batch, e))), 0
+        )
+        llrs = matcher.decoder_llrs(
+            soft, matcher.transmitted_mask(0, e), qformat=config.qformat
+        )
+        l_start, _ = prepare_channel_llrs(config, code.n, llrs)
+        shape = (batch, plan.total_blocks, code.z)
+        if config.is_fixed_point:
+            msg_max = config.qformat.max_int
+            lam_start = rng.integers(-msg_max, msg_max + 1, size=shape)
+        else:
+            lam_start = rng.normal(0.0, 2.0, size=shape).astype(np.float32)
+            l_start = l_start.astype(np.float32)
+        first = plan.gather_indices[0]
+        cancelled = lam_start[:, 0, :4]
+        cancelled[cancelled == 0] = 3
+        l_start[:, first[0, :4]] = cancelled
+        l_start[:, first[1, :2]] = 0
+        lam_start[:, 1, :2] = 0
+        return l_start, lam_start
+
+    def _replay_layers(self, backend, l_start, lam_start, iterations=2):
+        l_mem = l_start.astype(backend.work_dtype)
+        lam = lam_start.astype(backend.work_dtype)
+        for _ in range(iterations):
+            for pos in range(backend.plan.num_layers):
+                backend.update_layer(l_mem, lam, pos)
+        return l_mem, lam
+
+    @pytest.mark.parametrize("batch", CROSSOVER_BATCHES)
+    @pytest.mark.parametrize(
+        "qformat", [None, QFormat(8, 2)], ids=["float", "q8.2"]
+    )
+    def test_take_gather_matches_slice_copies(self, batch, qformat, monkeypatch):
+        code = get_code(self.CROSSOVER_MODE)
+        config = DecoderConfig(qformat=qformat)
+        plan = DecodePlan(code)
+        l_start, lam_start = self._nr_layer_state(
+            code, plan, config, batch, seed=batch
+        )
+        shipped = self._replay_layers(
+            FastBackend(plan, config), l_start, lam_start
+        )
+        forced = {}
+        for path, crossover in (("take", batch * code.z), ("slice", 0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(fast_module, "TAKE_GATHER_MAX_BZ", crossover)
+                forced[path] = self._replay_layers(
+                    FastBackend(plan, config), l_start, lam_start
+                )
+        # One replay rewrites every Λ block: the comparison is not vacuous.
+        assert not np.array_equal(shipped[1], lam_start)
+        expected = [forced["slice"], shipped]
+        if qformat is not None:
+            expected.append(
+                self._replay_layers(
+                    ReferenceBackend(plan, config), l_start, lam_start
+                )
+            )
+        for other in expected:
+            for got, want in zip(forced["take"], other):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestSweepIntegration:

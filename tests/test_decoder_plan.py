@@ -123,6 +123,22 @@ class TestScratch:
         assert grown.shape == (32, 8)
         assert not np.shares_memory(small, grown)
 
+    def test_scratch_set_one_lookup_per_stage(self, code):
+        plan = DecodePlan(code)
+        layout = (((3, 8), np.float32), ((4, 8), np.uint32))
+        a, b = plan.scratch_set("stage", layout, 5)
+        assert (a.shape, a.dtype, b.shape, b.dtype) == (
+            (5, 3, 8), np.float32, (5, 4, 8), np.uint32
+        )
+        # Zero-filled at allocation; a region never written stays zero
+        # across calls (the Φ kernel's sum pads rely on it).
+        assert not a.any() and not b.any()
+        a[:, 1:] = 7
+        again, _ = plan.scratch_set("stage", layout, 2)
+        assert np.shares_memory(again, a)
+        assert not again[:, 0].any()
+        assert plan.scratch_set("stage", layout, 2)[0] is again
+
     def test_scratch_distinct_per_key_shape_dtype(self, code):
         plan = DecodePlan(code)
         a = plan.scratch("x", (4, 8), np.int32)

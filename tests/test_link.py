@@ -28,6 +28,7 @@ import repro
 from repro import DecoderConfig, LayeredDecoder, QFormat, get_code, make_encoder
 from repro.channel import AWGNChannel, BPSKModulator, ChannelFrontend
 from repro.decoder import FloodingDecoder
+from repro.decoder.api import MAX_APP_WORD_BITS
 from repro.errors import DecoderConfigError, LinkError, UnknownCodeError
 from repro.link import Link, default_plan_cache, open_all, reset_default_plan_cache
 from repro.runtime import SweepEngine
@@ -47,6 +48,10 @@ CONFIG_PAYLOADS = st.dictionaries(
     JSON_VALUES,
     max_size=5,
 )
+
+#: Wire ``qformat`` payloads up to 64 bits wide: every width a client
+#: can send, far past what the int32 datapath holds.
+WIRE_QFORMATS = st.lists(st.integers(0, 64), min_size=2, max_size=2)
 
 #: One representative mode per registry standard (smallest of each, so
 #: the full matrix stays fast; DMB-T is the N=7493 synthetic matrix).
@@ -222,16 +227,64 @@ class TestConfigWireFormat:
         with pytest.raises(DecoderConfigError, match="unknown"):
             DecoderConfig.from_dict({**config.to_dict(), "shards": 1})
 
-    @given(CONFIG_PAYLOADS)
+    @given(CONFIG_PAYLOADS, st.none() | WIRE_QFORMATS)
     @settings(max_examples=300, deadline=None)
-    def test_from_dict_raises_only_config_errors(self, payload):
+    def test_from_dict_raises_only_config_errors(self, payload, qformat):
         # The parser of untrusted wire configs: a config or a typed
         # DecoderConfigError, never a bare TypeError/IndexError/...
+        if qformat is not None:
+            payload = {**payload, "qformat": qformat}
         try:
             config = DecoderConfig.from_dict(payload)
         except DecoderConfigError:
             return
         assert isinstance(config, DecoderConfig)
+        if config.is_fixed_point:
+            assert config.app_qformat.total_bits <= MAX_APP_WORD_BITS
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"qformat": [30, 2]},
+            {"qformat": [31, 2]},
+            {"qformat": [32, 2]},
+            {"qformat": [40, 2]},
+            {"qformat": [64, 2]},
+            # One past each bound: the correction-table budget at the
+            # default and the widest guard, and the APP word.
+            {"qformat": [19, 2]},
+            {"qformat": [17, 2], "siso_guard_bits": 4},
+            {"qformat": [30, 2], "check_node": "minsum"},
+            {"qformat": [8, 2], "app_extra_bits": 24},
+            {"app_extra_bits": 5000},
+        ],
+        ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()),
+    )
+    def test_oversized_formats_rejected(self, fields):
+        # Before the bound these decoded into a multi-GiB table
+        # allocation or a bare OverflowError from the int32 datapath.
+        with pytest.raises(DecoderConfigError):
+            DecoderConfig.from_dict(fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"qformat": [18, 2]},
+            {"qformat": [16, 2], "siso_guard_bits": 4},
+            {"qformat": [29, 2], "check_node": "normalized-minsum"},
+        ],
+        ids=["bp-q18.2", "bp-q16.2-guard4", "minsum-q29.2"],
+    )
+    def test_widest_accepted_formats_decode(self, fields):
+        config = DecoderConfig.from_dict({**fields, "max_iterations": 2})
+        code = get_code("802.16e:1/2:z24")
+        llr = np.random.default_rng(3).normal(2.0, 1.5, (2, code.n))
+        results = [
+            LayeredDecoder(code, config.replace(backend=backend)).decode(llr)
+            for backend in ("reference", "fast")
+        ]
+        assert np.array_equal(results[0].llr, results[1].llr)
+        assert np.array_equal(results[0].bits, results[1].bits)
 
     def test_nonfinite_cache_keys_equal(self):
         a = DecoderConfig(app_clip=float("inf"))
