@@ -3,9 +3,11 @@
 
 Measures decoded *information* throughput (Mbps) of the layered decoder
 for the WiMax N=2304 and WiFi N=1944 modes, per registered backend, in
-both the float datapath and the paper's fixed-point Q8.2 datapath, and
-writes the results to ``BENCH_decoder.json`` at the repo root so the
-perf trajectory is tracked from PR to PR.
+both the float datapath and the paper's fixed-point Q8.2 datapath (plus
+``fast_{float,fixed}_ns_per_edge``: decode wall time per edge update
+run, the unit of the ROADMAP's N=2304 targets), and writes the results
+to ``BENCH_decoder.json`` at the repo root so the perf trajectory is
+tracked from PR to PR.
 
 Also verifies, on every run, that the fixed-point outputs of every
 backend are bit-identical to the ``reference`` backend (hard bits, raw
@@ -139,6 +141,19 @@ def time_decoder(decoder, llr, repeats: int) -> tuple[float, object]:
     return best, result
 
 
+def ns_per_edge(decoder, result, seconds: float) -> float:
+    """Wall time of one whole decode per edge update it performed.
+
+    An edge update is one ``(frame, iteration, edge)`` triple actually
+    run (early-terminated frames stop counting), so the figure is the
+    ROADMAP's N=2304 ns/edge target metric with the ET monitor,
+    compaction and result assembly billed to the edges too.
+    """
+    per_iteration = decoder.plan.total_blocks * decoder.code.z
+    edges = int(result.iterations.sum()) * per_iteration
+    return seconds * 1e9 / edges
+
+
 def run_benchmark(frames: int, repeats: int) -> dict:
     backends = tuple(BACKENDS)
     results: dict = {
@@ -166,12 +181,15 @@ def run_benchmark(frames: int, repeats: int) -> dict:
                     max_iterations=10,
                     early_termination="paper",
                 )
-                seconds, result = time_decoder(
-                    LayeredDecoder(code, config), llr, repeats
-                )
+                decoder = LayeredDecoder(code, config)
+                seconds, result = time_decoder(decoder, llr, repeats)
                 mbps = frames * code.n_info / seconds / 1e6
                 entry[f"{backend}_{datapath}_ms"] = round(seconds * 1e3, 3)
                 entry[f"{backend}_{datapath}_mbps"] = round(mbps, 3)
+                if backend == "fast":
+                    entry[f"fast_{datapath}_ns_per_edge"] = round(
+                        ns_per_edge(decoder, result, seconds), 2
+                    )
                 if datapath == "fixed":
                     if backend == "reference":
                         reference_fixed = result
@@ -1091,7 +1109,8 @@ def run_small_batch_benchmark(repeats: int) -> dict:
 def summarize(results: dict) -> str:
     table = Table(
         ["workload", "backend", "float Mbps", "fixed Mbps",
-         "float x", "fixed x", "fixed bit-identical"],
+         "float x", "fixed x", "float ns/edge", "fixed ns/edge",
+         "fixed bit-identical"],
         title=f"Decoder throughput ({results['frames']} frames, "
         f"{results['ebn0_db']} dB, paper ET)",
     )
@@ -1105,6 +1124,8 @@ def summarize(results: dict) -> str:
                     f"{entry[f'{backend}_fixed_mbps']:.2f}",
                     str(entry.get(f"{backend}_float_speedup", "-")),
                     str(entry.get(f"{backend}_fixed_speedup", "-")),
+                    str(entry.get(f"{backend}_float_ns_per_edge", "-")),
+                    str(entry.get(f"{backend}_fixed_ns_per_edge", "-")),
                     str(entry.get(f"{backend}_fixed_bit_identical", "-")),
                 ]
             )

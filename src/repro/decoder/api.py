@@ -39,8 +39,9 @@ BP_IMPLEMENTATIONS = ("sum-sub", "forward-backward")
 ET_MODES = ("none", "paper", "syndrome", "paper-or-syndrome")
 
 #: Widest fixed-point APP word (``qformat.total_bits + app_extra_bits``).
-#: Both backends hold the datapath in int32 and form ``L - Λ`` there
-#: before saturating, so an APP word plus one carry bit must fit.
+#: Both backends store words wider than 15 bits in int32 (narrower ones
+#: in int16) and the ``fast`` backend forms ``L - Λ`` in the storage
+#: width before saturating, so an APP word plus one carry bit must fit.
 MAX_APP_WORD_BITS = 31
 
 #: Entry budget of one ⊞/⊟ correction table.  A fixed-point BP

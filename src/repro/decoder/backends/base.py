@@ -47,6 +47,17 @@ non-convergence bug.  All backends and both schedules share
 them.  A float32 working state (the ``fast`` float BP default) has the
 same hazard from rounding rather than saturation and breaks its zeros
 with :func:`break_cancelled_float_messages`.
+
+**Storage width.** The chip sizes every memory word to its format;
+the decoders size the APP and Λ memories by :attr:`work_dtype`, which
+follows from the configured format alone.  A fixed APP word of at most
+:data:`INT16_APP_MAX_BITS` bits (Q8.2 with the default 2 extra APP bits
+is 10) is stored in int16, a wider one in int32.  int16 holds every
+value the layer update forms in the storage width: with
+``|L| <= app_max`` and ``|Λ| <= msg_max <= app_max``, both ``L - Λ``
+and ``λ + Λ'`` stay within ``2·app_max <= 32766``.  The choice is made
+here, so every backend stores the same width; what each computes in
+is its own business (``reference`` keeps int64 intermediates).
 """
 
 from __future__ import annotations
@@ -146,6 +157,11 @@ def break_cancelled_float_messages(
         )
 
 
+#: Widest fixed-point APP word (sign included) stored in int16 (see
+#: the module docstring); wider words are stored in int32.
+INT16_APP_MAX_BITS = 15
+
+
 class DecoderBackend:
     """Abstract backend bound to one (plan, config) pair."""
 
@@ -156,8 +172,15 @@ class DecoderBackend:
         self.plan = plan
         self.config = config
         #: dtype the decoders allocate working state (APP / Λ memories)
-        #: in; backends may override (e.g. float32 for bandwidth).
-        self.work_dtype = np.int32 if config.is_fixed_point else np.float64
+        #: in: the storage-width rule of the module docstring in fixed
+        #: point; float backends may override (e.g. float32 for
+        #: bandwidth).
+        if not config.is_fixed_point:
+            self.work_dtype = np.float64
+        elif config.app_qformat.total_bits <= INT16_APP_MAX_BITS:
+            self.work_dtype = np.int16
+        else:
+            self.work_dtype = np.int32
 
     def _select_kernel(self):
         """Instantiate this backend's kernel for the configured slot."""

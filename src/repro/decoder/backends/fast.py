@@ -29,22 +29,41 @@ large batches), no APP clip where it provably cannot bite, and a
 zero-break whose ``all()`` test also spares the Φ kernel its erasure
 scan.
 
+**Storage width.** Fixed-point state is stored as the base class's
+:attr:`~repro.decoder.backends.base.DecoderBackend.work_dtype` says:
+int16 for APP words up to 15 bits (Q8.2 is 10), int32 above.  The
+layer body's gather, ``L - Λ``, saturation, zero-break, ``λ + Λ'``
+and write-back all run in the storage width, which halves the bytes a
+Q8.2 layer moves; the clip bounds are typed like the state so no pass
+is promoted.  Everything that forms an *index* or a *product* (ROM
+offsets, fold states, the linear-approx sums) runs in int32 or int64
+through explicitly typed scalars: under NEP 50 a Python ``int``
+operand takes the array's dtype, so ``int16_array * G`` would compute,
+and overflow, in int16.
+
 - **BP sum-subtract, fixed point** — the guarded ⊞/⊟ fold of
   :class:`~repro.decoder.siso.GuardedFixedBPSumSubKernel` is a pure
   function of the running fold state and one bounded message, so it is
-  *compiled into a state×input ROM* once per decoder:
-  ``rom[(state + S) * W + (b + m)]`` replays the exact reference
-  arithmetic with one gather per fold step, and all ``d`` ⊟ outputs
-  (already rounded back to the message format) come from one broadcast
-  gather.  Formats whose ROM would exceed
+  *compiled into a state×input ROM*, once per format and shared by
+  every decoder of it
+  (:attr:`~repro.fixedpoint.boxplus.GuardTables.fold_roms`).  The ⊞
+  ROM stores each next state *pre-scaled* to its row offset
+  ``(state + S)·W`` (int32), so a fold step is one ``np.add`` of the
+  biased message ``b + m`` and one ``take`` into scratch, and all ``d``
+  ⊟ outputs (already rounded back to the message format) come from one
+  add and one ``take``.  Formats whose ROM would exceed
   :data:`GUARD_ROM_MAX_ENTRIES` fall back to the (still vectorized)
   guarded table fold.  ``siso_guard_bits=0`` keeps the seed-era
   single-resolution pairwise ROMs / flat-correction fold.
 - **BP sum-subtract, float** — the sequential ⊞ fold is replaced by the
   Φ-domain "tanh rule": one transform ``Φ(|λ|)``, exclusive
   prefix/suffix cumulative sums along the degree axis, one inverse
-  transform, one sign-parity pass.  By default the whole kernel runs in
-  **float32** (``work_dtype``) for memory bandwidth;
+  transform, one sign-parity pass.  Up to :data:`PHI_ACCUMULATE_MAX_BZ`
+  (``B·z <= 1024``) the sums are two ``np.add.accumulate`` calls;
+  larger batches form the same sums in the same order with one
+  ``np.add`` per degree row, byte-identical and several times cheaper
+  than ``accumulate`` along the strided axis.  By default the whole
+  kernel runs in **float32** (``work_dtype``) for memory bandwidth;
   ``DecoderConfig(fast_exact=True)`` keeps float64 (~1e-8/call).
   A float32 APP cannot hold an erasure placeholder next to a check
   message (``1e-9 + Λ`` rounds to ``Λ``), so the next ``L - Λ`` comes
@@ -94,9 +113,11 @@ from repro.fixedpoint.boxplus import FixedBoxOps, make_guard_tables, phi_transfo
 #: (≈ 2 MiB apiece at 10 bits, ≈ 127 KiB at the paper's 8).
 PAIR_TABLE_MAX_BITS = 10
 
-#: Entry budget for the guarded state×input ROMs (int16, two tables).
-#: Q8.2 with 2 guard bits needs ~259k entries (≈ 0.5 MiB per table);
-#: wider formats fall back to the guarded table fold.
+#: Entry budget for the guarded state×input ROMs (an int32 ⊞ table of
+#: pre-scaled states and an int16 ⊟ table, shared per format).  Q8.2
+#: with 2 guard bits needs ~259k entries (1 MiB + 0.5 MiB); wider
+#: formats fall back to the guarded table fold.  The budget also keeps
+#: every ROM index below 2^20, well inside int32.
 GUARD_ROM_MAX_ENTRIES = 1 << 20
 
 #: Largest ``B·z`` (frames × lifting size) whose layer update gathers
@@ -110,6 +131,21 @@ GUARD_ROM_MAX_ENTRIES = 1 << 20
 #: by 30-45% at ``B·z`` = 96, 10-18% at 384, 1-8% at 768-1024, and
 #: loses from ~1536 (by 5-10% at 2048-3072).
 TAKE_GATHER_MAX_BZ = 1024
+
+#: Largest ``B·z`` whose float Φ kernel forms its exclusive prefix and
+#: suffix sums with two ``np.add.accumulate`` calls along the degree
+#: axis; larger batches use ``2·(d - 1)`` row-wise calls (one copy and
+#: ``d - 2`` ``np.add`` per direction) that perform the same float
+#: additions in the same order, so the outputs are byte-identical.
+#: ``accumulate`` along the strided middle axis costs ~7-10 ns per
+#: element, a row add well under one, but each row call pays a fixed
+#: 1-3 µs, so the row path loses at small ``B·z`` and more so at high
+#: degree.  Measured on a 2-core x86 host
+#: (numpy 2.4, float32 and float64, d = 3-19): the row path runs at
+#: 0.3-0.7× at ``B·z`` = 96-256 for d >= 6, 0.6-1.4× at 384, 1.0-4× at
+#: 768, 1.3-6× at 1152 and 2-17× from 3072 up.  The crossover sits at
+#: the gather's, so the small batches a server decodes keep one path.
+PHI_ACCUMULATE_MAX_BZ = 1024
 
 #: Φ pole freeze points: inputs below this are treated as this (see
 #: :func:`~repro.fixedpoint.boxplus.phi_transform`).  The smallest
@@ -134,13 +170,13 @@ def _phi_layout(degree, width, dtype):
 
 
 def _rom_layout(degree, width):
-    """Scratch layout of a ROM fold: biased messages, fold index, fold
-    state and the broadcast ⊟ index."""
+    """Scratch layout of the guard-ROM fold: biased messages (reused as
+    the ⊟ indices), fold state, fold index and the ⊟ output."""
     return (
         ((degree, width), np.int32),
         ((width,), np.int32),
         ((width,), np.int32),
-        ((degree, width), np.int32),
+        ((degree, width), np.int16),
     )
 
 
@@ -159,8 +195,12 @@ class FastBackend(DecoderBackend):
         self._fixed = config.is_fixed_point
         if self._fixed:
             self._max_int = np.int32(config.qformat.max_int)
-            msg_clip = self._max_int
-            app_clip = np.int32(config.app_qformat.max_int)
+            # Clip bounds typed like the stored state, so the saturating
+            # passes run in the storage width (an int32 bound would
+            # promote an int16 pass to int32 and cast it back).
+            work = np.dtype(self.work_dtype).type
+            msg_clip = work(config.qformat.max_int)
+            app_clip = work(config.app_qformat.max_int)
         else:
             self._msg_clip = msg_clip = float(config.llr_clip)
             app_clip = float(config.effective_app_clip)
@@ -265,7 +305,13 @@ class FastBackend(DecoderBackend):
             tables = make_guard_tables(config.qformat, config.siso_guard_bits)
             entries = (2 * tables.state_max + 1) * (2 * tables.max_int + 1)
             if entries <= GUARD_ROM_MAX_ENTRIES:
-                self._build_guard_roms(tables)
+                self._rom_plus, self._rom_minus = tables.fold_roms
+                width = 2 * tables.max_int + 1
+                # The first fold state as a ROM row offset,
+                # (λ0·G + S)·W = λ0·(G·W) + S·W; int32 scalars keep both
+                # products in int32 whatever the storage width of λ.
+                self._rom_first_scale = np.int32(tables.factor * width)
+                self._rom_first_bias = np.int32(tables.state_max * width)
                 return self._bp_sumsub_fixed_guard_rom
             self._guard_kernel = GuardedFixedBPSumSubKernel(tables)
             return self._guard_kernel
@@ -306,52 +352,38 @@ class FastBackend(DecoderBackend):
         return self._linear_approx_float
 
     # ------------------------------------------------------------------
-    # Fixed point, guarded BP: state×input ROM (one gather per ⊞/⊟)
+    # Fixed point, guarded BP: pre-scaled state×input ROM
     # ------------------------------------------------------------------
-    def _build_guard_roms(self, tables) -> None:
-        """Compile the guarded fold into biased state-transition ROMs.
-
-        ``rom_plus[(state + S) * W + (b + m)]`` is the next (biased)
-        fold state after ⊞-absorbing message ``b``; ``rom_minus`` is
-        the ⊟ output already rounded back to the message format.  Both
-        are filled by evaluating the reference guarded arithmetic
-        (:class:`GuardedFixedBPSumSubKernel`) on every (state, message)
-        pair, so bit-identity holds by construction.
-        """
-        m = int(tables.max_int)
-        state_max = tables.state_max
-        states = np.arange(-state_max, state_max + 1, dtype=np.int64)
-        inputs = np.arange(-m, m + 1, dtype=np.int64) * tables.factor
-        a = states[:, None]
-        b = inputs[None, :]
-        self._rom_state_bias = np.int32(state_max)
-        self._rom_width = np.int32(2 * m + 1)
-        self._rom_factor = np.int32(tables.factor)
-        nxt = tables.combine(a, b, tables.f)
-        self._rom_plus = (nxt + state_max).astype(np.int16).ravel()
-        out = tables.round_message(tables.combine(a, b, tables.g))
-        self._rom_minus = out.astype(np.int16).ravel()
-
     def _bp_sumsub_fixed_guard_rom(self, lam):
+        """The guarded fold over the shared ROMs of
+        :attr:`~repro.fixedpoint.boxplus.GuardTables.fold_roms`.
+
+        The fold state is carried as its ROM row offset ``(state + S)·W``
+        and the ⊞ ROM stores next states in the same form, so each of
+        the ``d - 1`` fold steps is one ``np.add`` of the biased message
+        and one ``take`` into scratch, and all ``d`` ⊟ indices are one
+        add.  Every index is in range by construction, so the ``take``
+        mode only picks the bounds handling: ``wrap`` measured ~5%
+        cheaper than ``clip``, and ``raise`` buffers its output.  The
+        returned messages live in plan scratch, valid until the next
+        call.
+        """
         _check_degree(lam)
-        m = self._max_int
-        width = self._rom_width
         batch, degree, z = lam.shape
-        offset, index, state, wide = self.plan.scratch_set(
+        offset, state, index, out = self.plan.scratch_set(
             ("grom", degree, z), _rom_layout(degree, z), batch
         )
-        np.add(lam, m, out=offset)
-        # First fold state is the first message at guard resolution,
-        # biased into ROM row coordinates.
-        np.multiply(lam[:, 0, :], self._rom_factor, out=state)
-        state += self._rom_state_bias
+        # Biased messages b + m: the ROM column of every edge.
+        np.add(lam, self._max_int, out=offset)
+        np.multiply(lam[:, 0, :], self._rom_first_scale, out=state)
+        state += self._rom_first_bias
+        rom_plus = self._rom_plus
         for i in range(1, degree):
-            np.multiply(state, width, out=index)
-            index += offset[:, i, :]
-            state = self._rom_plus.take(index)
-        np.multiply(state[:, None, :], width, out=wide)
-        wide += offset
-        return self._rom_minus.take(wide)
+            np.add(state, offset[:, i, :], out=index)
+            rom_plus.take(index, out=state, mode="wrap")
+        np.add(state[:, None, :], offset, out=offset)
+        self._rom_minus.take(offset, out=out, mode="wrap")
+        return out
 
     # ------------------------------------------------------------------
     # Fixed point, guard 0, narrow formats: seed-era pairwise ROM
@@ -445,8 +477,21 @@ class FastBackend(DecoderBackend):
             # Row 0 of ``prefix`` and row ``degree`` of ``suffix`` are
             # never written, so they stay the zero pads of the
             # exclusive sums.
-            np.add.accumulate(phi, axis=1, out=prefix[:, 1:])
-            np.add.accumulate(phi[:, ::-1], axis=1, out=suffix[:, -2::-1])
+            if batch * width > PHI_ACCUMULATE_MAX_BZ:
+                # Large batches: the same sums in the same order, one
+                # contiguous row at a time (``prefix[d]`` and
+                # ``suffix[0]`` are never read, so they are skipped).
+                prefix[:, 1] = phi[:, 0]
+                for i in range(1, degree - 1):
+                    np.add(prefix[:, i], phi[:, i], out=prefix[:, i + 1])
+                suffix[:, degree - 1] = phi[:, degree - 1]
+                for i in range(degree - 2, 0, -1):
+                    np.add(suffix[:, i + 1], phi[:, i], out=suffix[:, i])
+            else:
+                np.add.accumulate(phi, axis=1, out=prefix[:, 1:])
+                np.add.accumulate(
+                    phi[:, ::-1], axis=1, out=suffix[:, -2::-1]
+                )
             np.add(prefix[:, :-1], suffix[:, 1:], out=phi)
             np.maximum(phi, pole, out=phi)
             np.expm1(phi, out=phi)
@@ -569,7 +614,12 @@ class FastBackend(DecoderBackend):
                 min1 = np.floor(min1 * config.normalization).astype(lam.dtype)
                 min2 = np.floor(min2 * config.normalization).astype(lam.dtype)
         elif config.check_node == "offset-minsum":
-            offset = int(np.rint(config.offset * qformat.scale))
+            # Minima never exceed max_int, so a larger offset zeroes
+            # them all the same; clamping keeps the scalar within the
+            # storage width (a Python int beyond it raises under NEP 50).
+            offset = lam.dtype.type(
+                min(int(np.rint(config.offset * qformat.scale)), qformat.max_int)
+            )
             min1 = np.maximum(min1 - offset, 0)
             min2 = np.maximum(min2 - offset, 0)
         # Magnitudes are already within the representable range (minima
@@ -630,8 +680,9 @@ class FastBackend(DecoderBackend):
         else:
             m1, m2 = self._linear_pair_terms(lam, qformat.max_int + 1)
             c0 = self._linear_c0
-            corr_sum = np.maximum(c0 - ((m1 + m2).astype(np.int64) >> 2), 0)
-            corr_diff = np.maximum(c0 - ((m2 - m1).astype(np.int64) >> 2), 0)
+            m1 = m1.astype(np.int64)
+            corr_sum = np.maximum(c0 - ((m1 + m2) >> 2), 0)
+            corr_diff = np.maximum(c0 - ((m2 - m1) >> 2), 0)
             corrected = np.maximum(m1 + corr_sum - corr_diff, 0)
             out = self._flip_signs(lam, corrected)
         return qformat.saturate(out)

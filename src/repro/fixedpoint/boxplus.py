@@ -26,7 +26,10 @@ hardware unit does.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -190,8 +193,52 @@ class GuardTables:
         )
         return np.sign(wide) * magnitude
 
+    @cached_property
+    def fold_roms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole fold compiled into read-only state×input ROMs.
 
-_GUARD_TABLE_CACHE: dict[tuple[int, int, int], GuardTables] = {}
+        Rows are biased fold states ``state + S`` (``S = state_max``),
+        columns biased messages ``b + m`` (``m = max_int``), row width
+        ``W = 2m + 1``.  At index ``(state + S)·W + (b + m)``:
+
+        - ``plus`` holds the next state after ⊞-absorbing message ``b``,
+          stored *pre-scaled* as its own row offset ``(next + S)·W``
+          (int32), so a fold step is one add of the biased message and
+          one gather, with no re-scaling pass between steps;
+        - ``minus`` holds the ⊟ output already rounded back to the
+          message format (int16).
+
+        Every entry is evaluated by :meth:`combine` and
+        :meth:`round_message`, so a ROM fold is bit-identical to the
+        reference kernel by construction.  The ROMs are built on first
+        use and live as long as these tables do in the
+        :func:`make_guard_tables` memo, so every decoder of one format
+        shares a single copy (two threads racing on the first use may
+        each build one; both are identical and correct).
+        """
+        m = int(self.max_int)
+        state_max = self.state_max
+        width = 2 * m + 1
+        states = np.arange(-state_max, state_max + 1, dtype=np.int64)[:, None]
+        inputs = np.arange(-m, m + 1, dtype=np.int64)[None, :] * self.factor
+        nxt = self.combine(states, inputs, self.f)
+        plus = ((nxt + state_max) * width).astype(np.int32).ravel()
+        minus = self.round_message(self.combine(states, inputs, self.g))
+        minus = minus.astype(np.int16).ravel()
+        plus.flags.writeable = False
+        minus.flags.writeable = False
+        return plus, minus
+
+
+#: Formats whose guard tables (and, once compiled, fold ROMs) stay
+#: memoized at once, least recently used evicted first.  One entry
+#: holds up to ~8 MiB (two 4 MiB correction tables at the widest
+#: admitted format), so the bound caps what a server that sees many
+#: accepted formats can hold; the default Q8.2 entry is ~1.5 MiB.
+GUARD_TABLE_CACHE_SIZE = 4
+
+_GUARD_TABLE_CACHE: OrderedDict[tuple[int, int, int], GuardTables] = OrderedDict()
+_GUARD_TABLE_LOCK = threading.Lock()
 
 
 def make_guard_tables(qformat: QFormat, guard_bits: int) -> GuardTables:
@@ -203,13 +250,26 @@ def make_guard_tables(qformat: QFormat, guard_bits: int) -> GuardTables:
     ``G×`` finer and over the full domain where the corrections are
     non-zero.  The ``g`` singularity at ``x -> 0`` is represented by its
     first-bin midpoint value, clamped to the fold-state saturation.
+
+    The memo keeps the :data:`GUARD_TABLE_CACHE_SIZE` most recently used
+    formats.
     """
     if guard_bits < 1:
         raise ValueError("guard_bits must be >= 1 (0 selects the ungated fold)")
     key = (qformat.total_bits, qformat.frac_bits, guard_bits)
-    cached = _GUARD_TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    with _GUARD_TABLE_LOCK:
+        tables = _GUARD_TABLE_CACHE.get(key)
+        if tables is None:
+            tables = _build_guard_tables(qformat, guard_bits)
+            _GUARD_TABLE_CACHE[key] = tables
+            while len(_GUARD_TABLE_CACHE) > GUARD_TABLE_CACHE_SIZE:
+                _GUARD_TABLE_CACHE.popitem(last=False)
+        else:
+            _GUARD_TABLE_CACHE.move_to_end(key)
+    return tables
+
+
+def _build_guard_tables(qformat: QFormat, guard_bits: int) -> GuardTables:
     factor = 1 << guard_bits
     scale = qformat.scale * factor
     state_max = qformat.max_int * factor
@@ -224,11 +284,7 @@ def make_guard_tables(qformat: QFormat, guard_bits: int) -> GuardTables:
     with np.errstate(divide="ignore"):
         g_vals = np.rint(np.log(-np.expm1(-xs)) * scale).astype(np.int64)
     g[:entries] = np.maximum(g_vals, -state_max).astype(np.int32)
-    tables = GuardTables(
-        f=f, g=g, guard_bits=guard_bits, max_int=qformat.max_int
-    )
-    _GUARD_TABLE_CACHE[key] = tables
-    return tables
+    return GuardTables(f=f, g=g, guard_bits=guard_bits, max_int=qformat.max_int)
 
 
 class FixedBoxOps:

@@ -38,8 +38,17 @@ from repro.decoder import (
 )
 from repro.decoder.backends import BACKENDS, ENV_BACKEND
 from repro.decoder.backends import fast as fast_module
-from repro.decoder.backends.fast import TAKE_GATHER_MAX_BZ, FastBackend
+from repro.decoder.backends.base import INT16_APP_MAX_BITS
+from repro.decoder.backends.fast import (
+    PHI_ACCUMULATE_MAX_BZ,
+    TAKE_GATHER_MAX_BZ,
+    FastBackend,
+)
 from repro.decoder.backends.reference import ReferenceBackend
+from repro.decoder.siso import (
+    FixedBPForwardBackwardKernel,
+    GuardedFixedBPSumSubKernel,
+)
 from repro.encoder import make_encoder
 from repro.errors import DecoderConfigError
 from repro.fixedpoint import QFormat
@@ -577,6 +586,186 @@ class TestLayerUpdateArithmetic:
             for got, want in zip(forced["take"], other):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+    # -- Φ prefix/suffix sum crossover ---------------------------------
+    # Up to ``PHI_ACCUMULATE_MAX_BZ`` the float Φ kernel forms its sums
+    # with ``np.add.accumulate``; above it, row by row.  The two must
+    # perform the same float additions in the same order, so each cell
+    # forces both paths (and the shipped crossover) on NR buffers with
+    # erasure placeholders and cancellations and compares raw bytes.
+    PHI_B = PHI_ACCUMULATE_MAX_BZ // 32  # largest batch that accumulates
+    PHI_BATCHES = (1, 2, PHI_B - 1, PHI_B, PHI_B + 1, 64)
+
+    @pytest.mark.parametrize("batch", PHI_BATCHES)
+    @pytest.mark.parametrize(
+        "fast_exact", [False, True], ids=["float32", "float64"]
+    )
+    def test_phi_row_sums_match_accumulate(self, batch, fast_exact, monkeypatch):
+        code = get_code(self.CROSSOVER_MODE)
+        config = DecoderConfig(fast_exact=fast_exact)
+        plan = DecodePlan(code)
+        l_start, lam_start = self._nr_layer_state(
+            code, plan, config, batch, seed=100 + batch
+        )
+        shipped = self._replay_layers(
+            FastBackend(plan, config), l_start, lam_start
+        )
+        forced = {}
+        for path, crossover in (("accumulate", batch * code.z), ("rows", 0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(fast_module, "PHI_ACCUMULATE_MAX_BZ", crossover)
+                forced[path] = self._replay_layers(
+                    FastBackend(plan, config), l_start, lam_start
+                )
+        assert not np.array_equal(shipped[1], lam_start)
+        assert shipped[0].dtype == (np.float64 if fast_exact else np.float32)
+        for other in (forced["rows"], shipped):
+            for got, want in zip(forced["accumulate"], other):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    # -- int16/int32 storage boundary ----------------------------------
+    # Fixed state is stored in int16 up to a 15-bit APP word and in
+    # int32 above.  Every fixed kernel family replays layer by layer,
+    # fast against reference, from saturated extremes at the widest
+    # int16 format and at the first int32 one.  Per family: the kernel
+    # the fast backend must select, the config, and the (qformat,
+    # app_extra_bits) of each width.
+    BOUNDARY_FAMILIES = {
+        "guard-rom": (
+            "_bp_sumsub_fixed_guard_rom", dict(siso_guard_bits=2),
+            ((QFormat(8, 2), 7), (QFormat(8, 2), 8)),
+        ),
+        "guard-fallback": (
+            GuardedFixedBPSumSubKernel, dict(siso_guard_bits=2),
+            ((QFormat(13, 2), 2), (QFormat(14, 2), 2)),
+        ),
+        "pair-rom": (
+            "_bp_sumsub_fixed_rom", dict(siso_guard_bits=0),
+            ((QFormat(10, 2), 5), (QFormat(10, 2), 6)),
+        ),
+        "flat-fold": (
+            "_bp_sumsub_fixed_flat", dict(siso_guard_bits=0),
+            ((QFormat(13, 2), 2), (QFormat(14, 2), 2)),
+        ),
+        "forward-backward": (
+            FixedBPForwardBackwardKernel, dict(bp_impl="forward-backward"),
+            ((QFormat(13, 2), 2), (QFormat(14, 2), 2)),
+        ),
+        **{
+            check_node: (
+                "_linear_approx_fixed" if check_node == "linear-approx"
+                else "_minsum_fixed",
+                dict(check_node=check_node),
+                # Messages as wide as the APP word: the two-smallest
+                # sentinel (max_int + 1) sits right at the int16 edge.
+                ((QFormat(15, 2), 0), (QFormat(16, 2), 0)),
+            )
+            for check_node in MINSUM_FAMILY
+        },
+    }
+    WIDTHS = {"int16": np.int16, "int32": np.int32}
+
+    def _boundary_config(self, family, width, **overrides):
+        _, kwargs, formats = self.BOUNDARY_FAMILIES[family]
+        qformat, extra = formats[list(self.WIDTHS).index(width)]
+        config = DecoderConfig(
+            qformat=qformat, app_extra_bits=extra, **kwargs, **overrides
+        )
+        bits = config.app_qformat.total_bits
+        assert (bits <= INT16_APP_MAX_BITS) == (width == "int16")
+        return config
+
+    def _extreme_values(self, rng, shape, extremes, bound):
+        """Half saturated extremes, half uniform in ``[-bound, bound]``."""
+        picked = rng.choice(np.asarray(extremes), size=shape)
+        uniform = rng.integers(-bound, bound + 1, size=shape)
+        return np.where(rng.random(shape) < 0.5, picked, uniform)
+
+    @pytest.mark.parametrize("batch", [3, TAKE_GATHER_MAX_BZ // 8 + 2])
+    @pytest.mark.parametrize("width", ["int16", "int32"])
+    @pytest.mark.parametrize("family", list(BOUNDARY_FAMILIES))
+    def test_storage_boundary_layer_bit_identical(
+        self, tiny_code, family, width, batch
+    ):
+        config = self._boundary_config(family, width)
+        plan = DecodePlan(tiny_code)
+        rng = np.random.default_rng(batch)
+        app_max = config.app_qformat.max_int
+        msg_max = config.qformat.max_int
+        l_start = self._extreme_values(
+            rng, (batch, tiny_code.n),
+            (app_max, -app_max, msg_max, -msg_max, 0, 1, -1), app_max,
+        )
+        lam_start = self._extreme_values(
+            rng, (batch, plan.total_blocks, tiny_code.z),
+            (msg_max, -msg_max, 0, 1, -1), msg_max,
+        )
+        # ``L == Λ`` cancellations, signed and zero, in the first layer.
+        first = plan.gather_indices[0]
+        lam_start[:, 0, :4] = [msg_max, -msg_max, 5, -5]
+        l_start[:, first[0, :4]] = lam_start[:, 0, :4]
+        l_start[:, first[1, :2]] = 0
+        lam_start[:, 1, :2] = 0
+
+        selector = self.BOUNDARY_FAMILIES[family][0]
+        fast = FastBackend(plan, config)
+        if isinstance(selector, str):
+            assert fast._kernel == getattr(fast, selector)
+        else:
+            assert isinstance(fast._kernel, selector)
+        replays = []
+        for backend in (ReferenceBackend(plan, config), fast):
+            assert backend.work_dtype == self.WIDTHS[width]
+            replays.append(self._replay_layers(backend, l_start, lam_start))
+        (l_ref, lam_ref), (l_fast, lam_fast) = replays
+        assert not np.array_equal(lam_fast, lam_start)
+        assert np.abs(l_fast).max() <= app_max
+        for got, want in ((l_fast, l_ref), (lam_fast, lam_ref)):
+            assert got.dtype == want.dtype == self.WIDTHS[width]
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", ["int16", "int32"])
+    @pytest.mark.parametrize("family", list(BOUNDARY_FAMILIES))
+    def test_storage_boundary_flooding_identical(self, tiny_code, family, width):
+        results = []
+        for backend in ("reference", "fast"):
+            config = self._boundary_config(
+                family, width, backend=backend, max_iterations=3,
+                early_termination="none",
+            )
+            msg_max = config.qformat.max_int
+            llr = self._extreme_values(
+                np.random.default_rng(7), (4, tiny_code.n),
+                (msg_max, -msg_max, 1, -1), msg_max,
+            )
+            decoder = FloodingDecoder(tiny_code, config)
+            assert decoder.backend.work_dtype == self.WIDTHS[width]
+            results.append(decoder.decode(llr))
+        ref, fast = results
+        assert np.array_equal(ref.bits, fast.bits)
+        assert ref.llr.tobytes() == fast.llr.tobytes()
+        assert np.array_equal(ref.iterations, fast.iterations)
+
+
+class TestStorageWidth:
+    def test_width_follows_the_app_word(self):
+        code = get_code("802.16e:1/2:z24")
+        plan = DecodePlan(code)
+        for extra, dtype in ((2, np.int16), (7, np.int16), (8, np.int32)):
+            config = DecoderConfig(qformat=QFormat(8, 2), app_extra_bits=extra)
+            for backend_cls in (ReferenceBackend, FastBackend):
+                assert backend_cls(plan, config).work_dtype == dtype
+        assert ReferenceBackend(plan, DecoderConfig()).work_dtype == np.float64
+
+    def test_fixed_decoders_of_one_format_share_guard_roms(self):
+        config = DecoderConfig(backend="fast", qformat=QFormat(8, 2))
+        one = LayeredDecoder(get_code("802.16e:1/2:z24"), config).backend
+        two = LayeredDecoder(get_code("802.11n:1/2:z27"), config).backend
+        assert one._rom_plus is two._rom_plus
+        assert one._rom_minus is two._rom_minus
+        assert not one._rom_plus.flags.writeable
+        assert not one._rom_minus.flags.writeable
 
 
 class TestSweepIntegration:

@@ -1,17 +1,26 @@
 """Tests for the ⊞ / ⊟ kernels — the heart of the paper's SISO decoder."""
 
+import importlib
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fixedpoint.boxplus import (
     DEFAULT_LLR_CLIP,
+    GUARD_TABLE_CACHE_SIZE,
     FixedBoxOps,
     boxminus,
     boxplus,
     boxplus_reduce,
+    make_guard_tables,
 )
 from repro.fixedpoint.quantize import QFormat
+
+# ``repro.fixedpoint.boxplus`` the attribute is the function; the memo
+# lives in the module.
+boxplus_module = importlib.import_module("repro.fixedpoint.boxplus")
 
 finite_llr = st.floats(-20, 20).filter(lambda x: abs(x) > 1e-6)
 
@@ -158,3 +167,51 @@ class TestFixedOps:
         assert (
             np.sign(fixed[strong]) == np.sign(exact[strong])
         ).all()
+
+
+class TestGuardTableMemo:
+    """The guard-table memo is a bounded LRU: a client cycling through
+    accepted formats cannot grow a server without limit."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        cache = OrderedDict()
+        monkeypatch.setattr(boxplus_module, "_GUARD_TABLE_CACHE", cache)
+        return cache
+
+    def test_cycling_formats_keeps_the_bound(self, cache):
+        formats = [QFormat(bits, 2) for bits in range(4, 4 + GUARD_TABLE_CACHE_SIZE + 1)]
+        first = make_guard_tables(formats[0], 2)
+        for qformat in formats[1:]:
+            make_guard_tables(qformat, 2)
+            assert len(cache) <= GUARD_TABLE_CACHE_SIZE
+        assert len(cache) == GUARD_TABLE_CACHE_SIZE
+        # The least recently used format went first; a fresh request
+        # rebuilds it (equal tables, a new object).
+        assert (4, 2, 2) not in cache
+        rebuilt = make_guard_tables(formats[0], 2)
+        assert rebuilt is not first
+        assert np.array_equal(rebuilt.f, first.f)
+        assert len(cache) == GUARD_TABLE_CACHE_SIZE
+
+    def test_a_hit_refreshes_recency(self, cache):
+        formats = [QFormat(bits, 2) for bits in range(4, 4 + GUARD_TABLE_CACHE_SIZE)]
+        tables = [make_guard_tables(q, 2) for q in formats]
+        assert make_guard_tables(formats[0], 2) is tables[0]
+        make_guard_tables(QFormat(12, 2), 2)
+        assert (4, 2, 2) in cache
+        assert (5, 2, 2) not in cache
+
+    def test_fold_roms_are_shared_read_only_and_pre_scaled(self, cache):
+        tables = make_guard_tables(QFormat(6, 2), 2)
+        plus, minus = tables.fold_roms
+        assert tables.fold_roms[0] is plus
+        assert make_guard_tables(QFormat(6, 2), 2).fold_roms[1] is minus
+        assert not plus.flags.writeable and not minus.flags.writeable
+        assert plus.dtype == np.int32 and minus.dtype == np.int16
+        # ⊞ entries are next states stored as their own row offsets.
+        width = 2 * tables.max_int + 1
+        assert (plus % width == 0).all()
+        states = plus // width - tables.state_max
+        assert np.abs(states).max() <= tables.state_max
+        assert np.abs(minus).max() <= tables.max_int
