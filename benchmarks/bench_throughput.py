@@ -7,7 +7,12 @@ both the float datapath and the paper's fixed-point Q8.2 datapath (plus
 ``fast_{float,fixed}_ns_per_edge``: decode wall time per edge update
 run, the unit of the ROADMAP's N=2304 targets), and writes the results
 to ``BENCH_decoder.json`` at the repo root so the perf trajectory is
-tracked from PR to PR.
+tracked from PR to PR.  The fast fixed rows run the stock Q8.2 kernel,
+which takes the native C iteration body where it could be built
+(``fast_fixed_body``); each row also times the numpy body
+(``fast_fixed_numpy_ns_per_edge``) and checks the two bodies agree byte
+for byte (``fast_fixed_bodies_bit_identical``, gated like every other
+``*_bit_identical`` key).
 
 Also verifies, on every run, that the fixed-point outputs of every
 backend are bit-identical to the ``reference`` backend (hard bits, raw
@@ -67,7 +72,9 @@ Two further scenarios ride along and land in the same JSON:
   protocol transport cost is tracked from PR to PR; asserts socket
   results stay bit-identical to direct decodes.
 - **small_batch** — the batch sizes a decode server sees (B = 1, 2, 8):
-  µs per ``update_layer`` and ms per decode on the ``fast`` backend for
+  µs per ``update_layer`` (the numpy layer body), µs per iteration
+  (``iterate``: the native body on the Q8.2 rows where it was built) and
+  ms per decode on the ``fast`` backend for
   NR BG1 z32 and BG2 z16 (float) and WiMax N=576 Q8.2, whose rows also
   decode on ``reference``; fails the run unless the Q8.2 outputs are
   bit-identical (``fixed_bit_identical``).  No speed floor: one-frame
@@ -93,6 +100,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -100,6 +108,7 @@ from repro.analysis.reporting import Table
 from repro.channel import AWGNChannel, BPSKModulator, ChannelFrontend
 from repro.codes import get_code
 from repro.decoder import BACKENDS, DecoderConfig, LayeredDecoder
+from repro.decoder.backends import native
 from repro.encoder import make_encoder
 from repro.fixedpoint import QFormat
 from repro.runtime import SweepEngine
@@ -154,6 +163,31 @@ def ns_per_edge(decoder, result, seconds: float) -> float:
     return seconds * 1e9 / edges
 
 
+def time_numpy_body(code, config, llr, repeats: int, shipped, shipped_result) -> dict:
+    """The fast fixed decode again on the numpy iteration body.
+
+    Stock Q8.2 runs the native C body where it could be built; this
+    times the same decode with the native loader patched to find no
+    library (what a host without a compiler runs) and records whether
+    the two bodies' outputs are byte-identical.  ``shipped`` is the
+    decoder as configured, ``shipped_result`` its timed output.
+    """
+    with mock.patch.object(native, "library", lambda: None):
+        decoder = LayeredDecoder(code, config)
+    seconds, result = time_decoder(decoder, llr, repeats)
+    return {
+        "fast_fixed_body": "native" if shipped.backend.native_body else "numpy",
+        "fast_fixed_numpy_ns_per_edge": round(
+            ns_per_edge(decoder, result, seconds), 2
+        ),
+        "fast_fixed_bodies_bit_identical": bool(
+            result.llr.tobytes() == shipped_result.llr.tobytes()
+            and np.array_equal(result.bits, shipped_result.bits)
+            and np.array_equal(result.iterations, shipped_result.iterations)
+        ),
+    }
+
+
 def run_benchmark(frames: int, repeats: int) -> dict:
     backends = tuple(BACKENDS)
     results: dict = {
@@ -189,6 +223,10 @@ def run_benchmark(frames: int, repeats: int) -> dict:
                 if backend == "fast":
                     entry[f"fast_{datapath}_ns_per_edge"] = round(
                         ns_per_edge(decoder, result, seconds), 2
+                    )
+                if backend == "fast" and datapath == "fixed":
+                    entry.update(
+                        time_numpy_body(code, config, llr, repeats, decoder, result)
                     )
                 if datapath == "fixed":
                     if backend == "reference":
@@ -1054,8 +1092,23 @@ def time_layer_pass(decoder, llr, repeats: int) -> float:
     return best / layers * 1e6
 
 
+def time_iteration(decoder, llr, repeats: int) -> float:
+    """Best-of-N µs per full layered iteration through ``iterate`` —
+    the seam the layered decoder calls, so the native body where it
+    applies and one ``update_layer`` per layer otherwise."""
+    state = decoder.begin_decode(llr)
+    l_messages, lambdas = state.arrays
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        decoder.backend.iterate(l_messages, lambdas)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e6
+
+
 def run_small_batch_benchmark(repeats: int) -> dict:
-    """µs per layer update and ms per decode at serving batch sizes.
+    """µs per layer update, µs per iteration and ms per decode at
+    serving batch sizes.
 
     Every row decodes on the default ``fast`` backend; the Q8.2 row also
     decodes on ``reference`` and records whether the two agree bit for
@@ -1090,6 +1143,9 @@ def run_small_batch_benchmark(repeats: int) -> dict:
                 "update_layer_us": round(
                     time_layer_pass(fast, frames, max(repeats, 3)), 2
                 ),
+                "iteration_us": round(
+                    time_iteration(fast, frames, max(repeats, 3)), 2
+                ),
                 "decode_ms": round(seconds * 1e3, 3),
                 "average_iterations": round(result.average_iterations, 2),
             }
@@ -1110,7 +1166,7 @@ def summarize(results: dict) -> str:
     table = Table(
         ["workload", "backend", "float Mbps", "fixed Mbps",
          "float x", "fixed x", "float ns/edge", "fixed ns/edge",
-         "fixed bit-identical"],
+         "fixed numpy-body ns/edge", "fixed bit-identical"],
         title=f"Decoder throughput ({results['frames']} frames, "
         f"{results['ebn0_db']} dB, paper ET)",
     )
@@ -1126,6 +1182,7 @@ def summarize(results: dict) -> str:
                     str(entry.get(f"{backend}_fixed_speedup", "-")),
                     str(entry.get(f"{backend}_float_ns_per_edge", "-")),
                     str(entry.get(f"{backend}_fixed_ns_per_edge", "-")),
+                    str(entry.get(f"{backend}_fixed_numpy_ns_per_edge", "-")),
                     str(entry.get(f"{backend}_fixed_bit_identical", "-")),
                 ]
             )
@@ -1263,8 +1320,8 @@ def summarize(results: dict) -> str:
     small = results.get("small_batch")
     if small:
         stable = Table(
-            ["row", "B", "µs/layer", "ms/decode", "avg iters",
-             "reference ms/decode"],
+            ["row", "B", "µs/layer", "µs/iteration", "ms/decode",
+             "avg iters", "reference ms/decode"],
             title=(
                 "Small batches (fast backend; Q8.2 fast-vs-reference "
                 f"bit-identical: {small['fixed_bit_identical']})"
@@ -1276,6 +1333,7 @@ def summarize(results: dict) -> str:
                     label,
                     str(row["batch"]),
                     f"{row['update_layer_us']:.1f}",
+                    f"{row['iteration_us']:.1f}",
                     f"{row['decode_ms']:.2f}",
                     f"{row['average_iterations']:.2f}",
                     str(row.get("reference_decode_ms", "-")),

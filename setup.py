@@ -15,6 +15,9 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The fast backend compiles its native iteration body from this
+    # source on first use (repro/decoder/backends/native.py).
+    package_data={"repro.decoder.backends": ["*.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
 )

@@ -14,6 +14,12 @@ Every backend implements two entry points against a
 - :meth:`compute_check` — the bare check-node kernel on already-formed
   variable-to-check messages (the flooding check phase).
 
+The layered decoder drives a full iteration through :meth:`iterate`,
+whose default is one :meth:`update_layer` per layer in processing
+order; a backend may override it with a body that runs every layer in
+one call (the ``fast`` backend's native guard-ROM body), provided the
+result is identical to the loop.
+
 **Batch contract.** The leading (batch) dimension is owned by the
 decoder and *shrinks between calls* under active-frame compaction
 (``DecoderConfig(compact_frames=True)``, the default): frames whose
@@ -123,9 +129,15 @@ def break_zero_messages(messages: np.ndarray, lam_memory: np.ndarray) -> None:
     cheaper operand to index — equals the sign of the APP and is used
     as the broken sign (``+1`` when both are zero).  See the module
     docstring for why zeros must not reach the check kernels.
+
+    Zeros are rare, so only they are touched: one compare over the
+    messages finds their indices, and ``lam_memory`` (usually a strided
+    view of the whole Λ memory) is read at those indices alone rather
+    than through a full-size boolean mask.
     """
-    zero = messages == 0
-    if zero.any():
+    zero = np.flatnonzero(messages == 0)
+    if zero.size:
+        zero = np.unravel_index(zero, messages.shape)
         messages[zero] = np.where(lam_memory[zero] < 0, -1, 1)
 
 
@@ -205,6 +217,16 @@ class DecoderBackend:
             Position in the plan's processing order.
         """
         raise NotImplementedError
+
+    def iterate(self, l_messages: np.ndarray, lambdas: np.ndarray) -> None:
+        """One full layered iteration, in place: every layer of the
+        plan's processing order through :meth:`update_layer`.
+
+        The layered decoder's per-iteration seam; a backend may run the
+        whole iteration in one body instead, with identical results.
+        """
+        for layer_pos in range(self.plan.num_layers):
+            self.update_layer(l_messages, lambdas, layer_pos)
 
     def compute_check(self, lam_vc: np.ndarray, layer_pos: int) -> np.ndarray:
         """Check messages ``Λ`` for given v→c messages ``(B, d_l, z)``."""

@@ -178,9 +178,7 @@ class LayeredDecoder:
 
     def _iterate_once(self, state: DecodeState) -> None:
         """One full iteration of layer updates over the working arrays."""
-        l_active, lam_active = state.arrays
-        for layer_pos in range(self.plan.num_layers):
-            self.backend.update_layer(l_active, lam_active, layer_pos)
+        self.backend.iterate(*state.arrays)
 
     def step(
         self, state: DecodeState, max_new_iterations: int | None = None

@@ -237,8 +237,30 @@ class GuardTables:
 #: accepted formats can hold; the default Q8.2 entry is ~1.5 MiB.
 GUARD_TABLE_CACHE_SIZE = 4
 
+#: Formats whose guard-0 pairwise ROMs (:func:`make_pair_roms`) stay
+#: memoized at once, least recently used evicted first.  An entry holds
+#: two ``(2m + 1)^2`` int16 tables: ~4.2 MB at the widest precompiled
+#: format (10 bits), ~127 KiB at the paper's 8.
+PAIR_ROM_CACHE_SIZE = 4
+
 _GUARD_TABLE_CACHE: OrderedDict[tuple[int, int, int], GuardTables] = OrderedDict()
-_GUARD_TABLE_LOCK = threading.Lock()
+_PAIR_ROM_CACHE: OrderedDict[
+    tuple[int, int], tuple[np.ndarray, np.ndarray]
+] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoized(cache: OrderedDict, size: int, key, build):
+    """``cache[key]``, built on a miss, in a ``size``-bounded LRU."""
+    with _MEMO_LOCK:
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = build()
+            while len(cache) > size:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
+    return value
 
 
 def make_guard_tables(qformat: QFormat, guard_bits: int) -> GuardTables:
@@ -257,16 +279,39 @@ def make_guard_tables(qformat: QFormat, guard_bits: int) -> GuardTables:
     if guard_bits < 1:
         raise ValueError("guard_bits must be >= 1 (0 selects the ungated fold)")
     key = (qformat.total_bits, qformat.frac_bits, guard_bits)
-    with _GUARD_TABLE_LOCK:
-        tables = _GUARD_TABLE_CACHE.get(key)
-        if tables is None:
-            tables = _build_guard_tables(qformat, guard_bits)
-            _GUARD_TABLE_CACHE[key] = tables
-            while len(_GUARD_TABLE_CACHE) > GUARD_TABLE_CACHE_SIZE:
-                _GUARD_TABLE_CACHE.popitem(last=False)
-        else:
-            _GUARD_TABLE_CACHE.move_to_end(key)
-    return tables
+    return _memoized(
+        _GUARD_TABLE_CACHE, GUARD_TABLE_CACHE_SIZE, key,
+        lambda: _build_guard_tables(qformat, guard_bits),
+    )
+
+
+def make_pair_roms(qformat: QFormat) -> tuple[np.ndarray, np.ndarray]:
+    """The seed-era (guard 0) pairwise ⊞/⊟ ROMs of a format, memoized.
+
+    Both are read-only int16 tables over ``(a + m)·W + (b + m)`` for
+    every pair of saturated raw messages (``m = max_int``,
+    ``W = 2m + 1``), evaluated by :class:`FixedBoxOps`.  The ⊞ ROM
+    stores *row offsets* ``a ⊞ b + m``, so a fold step chains straight
+    into the next index; the ⊟ ROM stores plain values.  int16 keeps a
+    pair cache-resident at the paper's 8 bits (≈ 255 KiB); the saturated
+    datapath guarantees every entry fits.  Every decoder of one format
+    shares one pair; the memo keeps the :data:`PAIR_ROM_CACHE_SIZE` most
+    recently used formats.
+    """
+
+    def build():
+        ops = FixedBoxOps(qformat)
+        m = qformat.max_int
+        values = np.arange(-m, m + 1, dtype=np.int32)
+        a, b = (grid.ravel() for grid in np.meshgrid(values, values, indexing="ij"))
+        plus = (ops.boxplus(a, b) + np.int32(m)).astype(np.int16)
+        minus = ops.boxminus(a, b).astype(np.int16)
+        plus.flags.writeable = False
+        minus.flags.writeable = False
+        return plus, minus
+
+    key = (qformat.total_bits, qformat.frac_bits)
+    return _memoized(_PAIR_ROM_CACHE, PAIR_ROM_CACHE_SIZE, key, build)
 
 
 def _build_guard_tables(qformat: QFormat, guard_bits: int) -> GuardTables:

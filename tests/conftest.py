@@ -2,11 +2,40 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.codes import QCLDPCCode, build_qc_base_matrix, get_code
+from repro.decoder.backends import native
 from repro.encoder import make_encoder
+
+#: The fast backend's two fixed-point iteration bodies.
+FIXED_BODIES = ("native", "numpy")
+
+
+@contextlib.contextmanager
+def fixed_body(name: str):
+    """Decoders built inside run the named fast-backend fixed body.
+
+    ``numpy`` patches the native loader to find no library — exactly
+    what a host without a C compiler sees; ``native`` is skipped where
+    the library cannot be built.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "numpy":
+            patch.setattr(native, "library", lambda: None)
+        elif native.library() is None:
+            pytest.skip("no C compiler here: the native body is not built")
+        yield name
+
+
+@pytest.fixture(params=FIXED_BODIES)
+def body(request):
+    """Run a test once per fast-backend fixed-point iteration body."""
+    with fixed_body(request.param) as name:
+        yield name
 
 
 @pytest.fixture

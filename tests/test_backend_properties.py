@@ -10,7 +10,8 @@ locks down the contracts the backend/compaction refactors rely on:
    every schedule, every backend.
 2. **Fixed point is bit-exact across backends.**  ``reference`` and
    ``fast`` agree on hard bits, raw LLRs, iteration counts and ET
-   flags.
+   flags — with ``fast`` on its native iteration body and on its numpy
+   body (the ``body`` fixture).
 3. **Float backends agree where they promise to.**  Non-(BP sum-sub)
    kernels are shared code, so they match exactly; the fast Φ-domain
    BP kernel guarantees hard-decision and iteration agreement (checked
@@ -244,7 +245,7 @@ FLOAT_CASES = [c for c in CASES if "qformat" not in dict(c.config_kwargs)]
 
 @pytest.mark.parametrize("case", FIXED_CASES, ids=_case_ids(FIXED_CASES))
 @pytest.mark.parametrize("compact", [True, False], ids=["compact", "carry"])
-def test_fixed_point_cross_backend_bit_identity(case, compact):
+def test_fixed_point_cross_backend_bit_identity(case, compact, body):
     reference = _decode(case, backend="reference", compact_frames=compact)
     for backend in BACKENDS:
         if backend == "reference":
@@ -611,7 +612,9 @@ _NR_CONFIG_KWARGS = (
     "kwargs", _NR_CONFIG_KWARGS,
     ids=[k["check_node"] for k in _NR_CONFIG_KWARGS],
 )
-def test_nr_rate_matched_fixed_cross_backend_identity(cell, schedule, kwargs):
+def test_nr_rate_matched_fixed_cross_backend_identity(
+    cell, schedule, kwargs, body
+):
     label, code, matcher, soft, transmitted = cell
     qformat = kwargs["qformat"]
     llrs = matcher.decoder_llrs(soft, transmitted, qformat=qformat)

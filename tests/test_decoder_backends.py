@@ -544,10 +544,16 @@ class TestLayerUpdateArithmetic:
         lam_start[:, 1, :2] = 0
         return l_start, lam_start
 
-    def _replay_layers(self, backend, l_start, lam_start, iterations=2):
+    def _replay_layers(self, backend, l_start, lam_start, iterations=2,
+                       whole=False):
+        """Replay layer by layer (``update_layer``), or by whole
+        iterations (``iterate``, the layered decoder's seam)."""
         l_mem = l_start.astype(backend.work_dtype)
         lam = lam_start.astype(backend.work_dtype)
         for _ in range(iterations):
+            if whole:
+                backend.iterate(l_mem, lam)
+                continue
             for pos in range(backend.plan.num_layers):
                 backend.update_layer(l_mem, lam, pos)
         return l_mem, lam
@@ -686,7 +692,7 @@ class TestLayerUpdateArithmetic:
     @pytest.mark.parametrize("width", ["int16", "int32"])
     @pytest.mark.parametrize("family", list(BOUNDARY_FAMILIES))
     def test_storage_boundary_layer_bit_identical(
-        self, tiny_code, family, width, batch
+        self, tiny_code, family, width, batch, body
     ):
         config = self._boundary_config(family, width)
         plan = DecodePlan(tiny_code)
@@ -714,10 +720,17 @@ class TestLayerUpdateArithmetic:
             assert fast._kernel == getattr(fast, selector)
         else:
             assert isinstance(fast._kernel, selector)
+        # The guard ROM on int16 state is the one cell the native body
+        # serves; whole-iteration replays reach it there.
+        assert fast.native_body == (
+            body == "native" and family == "guard-rom" and width == "int16"
+        )
         replays = []
         for backend in (ReferenceBackend(plan, config), fast):
             assert backend.work_dtype == self.WIDTHS[width]
-            replays.append(self._replay_layers(backend, l_start, lam_start))
+            replays.append(
+                self._replay_layers(backend, l_start, lam_start, whole=True)
+            )
         (l_ref, lam_ref), (l_fast, lam_fast) = replays
         assert not np.array_equal(lam_fast, lam_start)
         assert np.abs(l_fast).max() <= app_max

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from repro.fixedpoint.boxplus import (
     DEFAULT_LLR_CLIP,
     GUARD_TABLE_CACHE_SIZE,
+    PAIR_ROM_CACHE_SIZE,
     FixedBoxOps,
     boxminus,
     boxplus,
     boxplus_reduce,
     make_guard_tables,
+    make_pair_roms,
 )
 from repro.fixedpoint.quantize import QFormat
 
@@ -215,3 +217,59 @@ class TestGuardTableMemo:
         states = plus // width - tables.state_max
         assert np.abs(states).max() <= tables.state_max
         assert np.abs(minus).max() <= tables.max_int
+
+
+class TestPairRomMemo:
+    """The guard-0 pairwise ROMs are built once per format and shared
+    by every decoder of it, in a bounded LRU."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        cache = OrderedDict()
+        monkeypatch.setattr(boxplus_module, "_PAIR_ROM_CACHE", cache)
+        return cache
+
+    def test_decoders_of_one_format_share_read_only_roms(self, cache, tiny_code):
+        from repro.decoder import DecoderConfig, LayeredDecoder
+
+        config = DecoderConfig(
+            backend="fast", qformat=QFormat(8, 2), siso_guard_bits=0
+        )
+        first, second = (
+            LayeredDecoder(tiny_code, config).backend for _ in range(2)
+        )
+        assert first._kernel == first._bp_sumsub_fixed_rom
+        assert first._rom_plus is second._rom_plus
+        assert first._rom_minus is second._rom_minus
+        assert not first._rom_plus.flags.writeable
+        assert not first._rom_minus.flags.writeable
+        assert list(cache) == [(8, 2)]
+
+    def test_entries_are_the_pairwise_ops(self, cache):
+        qformat = QFormat(6, 2)
+        ops = FixedBoxOps(qformat)
+        plus, minus = make_pair_roms(qformat)
+        m = qformat.max_int
+        width = 2 * m + 1
+        a, b = np.divmod(np.arange(width * width), width)
+        assert np.array_equal(plus, ops.boxplus(a - m, b - m) + m)
+        assert np.array_equal(minus, ops.boxminus(a - m, b - m))
+        assert plus.dtype == minus.dtype == np.int16
+
+    def test_cycling_formats_keeps_the_bound(self, cache):
+        formats = [QFormat(bits, 2) for bits in range(4, 4 + PAIR_ROM_CACHE_SIZE + 1)]
+        first = make_pair_roms(formats[0])
+        for qformat in formats[1:]:
+            make_pair_roms(qformat)
+            assert len(cache) <= PAIR_ROM_CACHE_SIZE
+        assert len(cache) == PAIR_ROM_CACHE_SIZE
+        assert (4, 2) not in cache
+        rebuilt = make_pair_roms(formats[0])
+        assert rebuilt[0] is not first[0]
+        assert np.array_equal(rebuilt[0], first[0])
+        # A hit refreshes recency: the oldest entry, once hit, survives
+        # the next insertion and the next-oldest goes instead.
+        oldest, next_oldest = list(cache)[:2]
+        assert make_pair_roms(QFormat(*oldest)) is cache[oldest]
+        make_pair_roms(QFormat(7, 3))
+        assert oldest in cache and next_oldest not in cache

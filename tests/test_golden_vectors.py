@@ -13,7 +13,8 @@ Contract per case:
 
 - fixed point (Q8.2): bits, LLRs, iterations, ET flags **exactly** equal
   to the stored arrays — for the reference backend and every other
-  available backend (the cross-backend bit-identity contract);
+  available backend, ``fast`` on both its native and its numpy
+  iteration body (the cross-backend bit-identity contract);
 - float: bits, iterations and ET flags exactly, LLRs to 1e-9 (the
   reference float kernel goes through libm transcendentals whose last
   ulp may differ between platforms);
@@ -31,6 +32,7 @@ import pytest
 from repro.codes import get_code
 from repro.decoder import BACKENDS, DecoderConfig, LayeredDecoder
 from repro.fixedpoint import QFormat
+from tests.conftest import FIXED_BODIES, fixed_body
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 GOLDEN_FILES = sorted(DATA_DIR.glob("golden_*.npz"))
@@ -58,20 +60,21 @@ def test_golden_files_exist():
 
 
 class TestFixedPointGolden:
-    @pytest.fixture(scope="class")
-    def results(self, golden):
+    @pytest.fixture(scope="class", params=FIXED_BODIES)
+    def results(self, golden, request):
+        """Every backend's decodes, ``fast`` on the requested body."""
         code = get_code(str(golden["mode"]))
         out = {}
-        for backend in BACKENDS:
-            for compact in (True, False):
-                config = DecoderConfig(
-                    backend=backend,
-                    qformat=QFormat(8, 2),
-                    compact_frames=compact,
-                )
-                out[(backend, compact)] = LayeredDecoder(code, config).decode(
-                    golden["llr_in"]
-                )
+        with fixed_body(request.param):
+            for backend in BACKENDS:
+                for compact in (True, False):
+                    config = DecoderConfig(
+                        backend=backend,
+                        qformat=QFormat(8, 2),
+                        compact_frames=compact,
+                    )
+                    decoder = LayeredDecoder(code, config)
+                    out[(backend, compact)] = decoder.decode(golden["llr_in"])
         return out
 
     def test_every_backend_matches_frozen_truth(self, golden, results):
